@@ -1346,6 +1346,13 @@ mod tests {
         items.iter().map(ToString::to_string).collect()
     }
 
+    /// A scratch path for one test: `name` is unique per test and the
+    /// process id per run, so parallel tests and concurrent runs of the
+    /// suite never share (or delete) each other's files.
+    fn scratch_path(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("rcn-cli-{name}-{}", std::process::id()))
+    }
+
     #[test]
     fn parse_args_splits_flags_and_positionals() {
         let p = parse_args(
@@ -1605,7 +1612,7 @@ mod tests {
         b.set(1, 0, Outcome::new(Response(0), ValueId(2)));
         b.set(2, 0, Outcome::new(Response(0), ValueId(1)));
         let table = b.build().unwrap();
-        let path = std::env::temp_dir().join("rcn_cli_lint_island.json");
+        let path = scratch_path("lint-island.json");
         std::fs::write(&path, serde_json::to_string(&table).unwrap()).unwrap();
         let spec = format!("table:{}", path.display());
         assert!(run(&s(&["lint", &spec])).is_ok());
@@ -1624,7 +1631,7 @@ mod tests {
             "value_names": ["v0", "v1"], "op_names": ["op0"],
             "response_names": ["r0", "r1"]
         }"#;
-        let path = std::env::temp_dir().join("rcn_cli_lint_broken.json");
+        let path = scratch_path("lint-broken.json");
         std::fs::write(&path, json).unwrap();
         let spec = format!("table:{}", path.display());
         let err = run(&s(&["lint", &spec])).unwrap_err();
@@ -1700,7 +1707,7 @@ mod tests {
 
     #[test]
     fn crashtest_memo_dir_resumes_and_no_memo_wins() {
-        let dir = std::env::temp_dir().join("rcn_cli_crashtest_memo");
+        let dir = scratch_path("crashtest-memo");
         std::fs::remove_dir_all(&dir).ok();
         let d = dir.display().to_string();
         // Cold run stores, warm run resumes — the verdict (exit code) is
@@ -1721,7 +1728,7 @@ mod tests {
 
     #[test]
     fn crashtest_writes_bench_records() {
-        let dir = std::env::temp_dir().join("rcn_cli_crashtest_bench");
+        let dir = scratch_path("crashtest-bench");
         let path = dir.join("BENCH_crashtest.json");
         let path_str = path.display().to_string();
         // tas violates, so the run exits nonzero — the records are still
@@ -1772,7 +1779,7 @@ mod tests {
 
     #[test]
     fn check_writes_bench_records() {
-        let dir = std::env::temp_dir().join("rcn_cli_check_bench");
+        let dir = scratch_path("check-bench");
         let path = dir.join("BENCH_mc.json");
         let path_str = path.display().to_string();
         // tas violates, so the run exits nonzero — the records are still
@@ -1793,7 +1800,7 @@ mod tests {
     fn lint_accepts_observability_flags() {
         assert!(run(&s(&["lint", "sticky", "--metrics"])).is_ok());
         assert!(run(&s(&["lint", "sticky", "--metrics", "--json"])).is_ok());
-        let path = std::env::temp_dir().join("rcn_cli_lint_trace.jsonl");
+        let path = scratch_path("lint-trace.jsonl");
         let path_str = path.display().to_string();
         std::fs::remove_file(&path).ok();
         assert!(run(&s(&["lint", "sticky", "--trace", &path_str])).is_ok());

@@ -13,8 +13,10 @@
 //! Candidate events are tried in a fixed order — steps of `p0..pn`, then
 //! crashes of `p0..pn` — so the traversal enumerates schedules in
 //! lexicographic order and the first counterexample found is the
-//! lexicographically-least violating schedule. That is the deterministic
-//! tie-break every execution mode must reproduce:
+//! lexicographically-least violating schedule (among schedules that never
+//! revisit a state already on their own path: a memo hit on an in-progress
+//! ancestor cuts that cycle). That is the deterministic tie-break every
+//! execution mode must reproduce:
 //!
 //! * **Sequential** (`threads == 1`, the default): one work-list DFS,
 //!   bit-identical to the historical recursive explorer.
@@ -47,10 +49,16 @@
 //! A plain visited-set would be unsound under the depth cap — a state first
 //! reached deep (little budget left) would be skipped when reached again
 //! along a shorter prefix, pruning schedules still within `max_depth`.
+//! The one exception is a *closed* state, whose whole subtree was explored
+//! without any depth cut: no violation is reachable from it at any
+//! budget, so it is never re-explored (see `Search::run`).
 
 use crate::diagnose::{diagnose, Divergence};
 use crate::memo::{ExplorerMemo, MemoLoad};
-use rcn_model::{Action, Configuration, Event, FaultModel, ProcessId, Schedule, System, Violation};
+use crate::wordhash::WordBuildHasher;
+use rcn_model::{
+    Action, Configuration, Event, FaultModel, LocalState, ProcessId, Schedule, System, Violation,
+};
 use rcn_obs::{Counter, HistogramHandle, Tracer};
 use std::collections::HashMap;
 use std::fmt;
@@ -217,12 +225,38 @@ impl CrashtestReport {
 pub(crate) type MemoKey = (Configuration, Vec<usize>);
 
 /// A memo entry: the largest remaining schedule budget the state was
-/// explored with, and whether the entry came from the persistent memo.
+/// explored with, whether the entry came from the persistent memo, and
+/// whether the state's whole subtree is closed (see [`Search::run`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MemoEntry {
     pub(crate) remaining: usize,
     pub(crate) from_disk: bool,
+    /// The subtree below this state finished without a depth cut, so no
+    /// violation is reachable from it at any budget. Held in memory only:
+    /// the persistent memo stores `remaining` alone.
+    pub(crate) closed: bool,
 }
+
+impl MemoEntry {
+    /// A fresh, not yet closed entry.
+    fn open(remaining: usize, from_disk: bool) -> Self {
+        MemoEntry {
+            remaining,
+            from_disk,
+            closed: false,
+        }
+    }
+
+    /// Whether arriving at this state with `remaining` budget left needs
+    /// no exploration: a closed subtree is clean at any budget, any other
+    /// only up to the budget it was explored with.
+    fn covers(&self, remaining: usize) -> bool {
+        self.closed || self.remaining >= remaining
+    }
+}
+
+/// The explorer's memo map, keyed through the word-folding hasher.
+type MemoMap = HashMap<MemoKey, MemoEntry, WordBuildHasher>;
 
 /// The bounded, memoized work-list DFS over crash placements.
 pub struct CrashExplorer<'s> {
@@ -383,20 +417,11 @@ impl<'s> CrashExplorer<'s> {
     ) -> SearchResult {
         let mut search = Search::new(self.system, self.config, &self.tracer, deadline, None, 0);
         for (key, remaining) in facts {
-            search.visited.insert(
-                key,
-                MemoEntry {
-                    remaining,
-                    from_disk: true,
-                },
-            );
+            search.visited.insert(key, MemoEntry::open(remaining, true));
         }
         search.visited.insert(
             (initial.clone(), crash_counts.to_vec()),
-            MemoEntry {
-                remaining: self.config.max_depth,
-                from_disk: false,
-            },
+            MemoEntry::open(self.config.max_depth, false),
         );
         search.stats.states_visited = 1;
         search.depths.observe(0);
@@ -434,15 +459,7 @@ impl<'s> CrashExplorer<'s> {
             certified: RwLock::new(
                 facts
                     .into_iter()
-                    .map(|(k, r)| {
-                        (
-                            k,
-                            MemoEntry {
-                                remaining: r,
-                                from_disk: true,
-                            },
-                        )
-                    })
+                    .map(|(k, r)| (k, MemoEntry::open(r, true)))
                     .collect(),
             ),
             total_states: AtomicU64::new(1),
@@ -488,6 +505,7 @@ impl<'s> CrashExplorer<'s> {
                 for idx in 0..candidate_limit(n) {
                     let Some(event) = enabled_candidate(
                         self.system,
+                        &initial.states,
                         &node.config,
                         &node.counts,
                         idx,
@@ -510,7 +528,7 @@ impl<'s> CrashExplorer<'s> {
                     let remaining = self.config.max_depth - (depth + 1);
                     let key = (next_config, next_counts);
                     if let Some(entry) = shared.certified.read().unwrap().get(&key) {
-                        if entry.remaining >= remaining {
+                        if entry.covers(remaining) {
                             stats.memo_hits += 1;
                             memo_hits.incr();
                             if entry.from_disk {
@@ -594,9 +612,15 @@ impl<'s> CrashExplorer<'s> {
                                     // clean fact, safe to share.
                                     let mut map = shared.certified.write().unwrap();
                                     for (k, e) in visited {
-                                        match map.get(&k) {
-                                            Some(old) if old.remaining >= e.remaining => {}
-                                            _ => {
+                                        match map.get_mut(&k) {
+                                            Some(old) if old.remaining >= e.remaining => {
+                                                old.closed |= e.closed;
+                                            }
+                                            Some(old) => {
+                                                let closed = old.closed || e.closed;
+                                                *old = MemoEntry { closed, ..e };
+                                            }
+                                            None => {
                                                 map.insert(k, e);
                                             }
                                         }
@@ -647,12 +671,7 @@ impl<'s> CrashExplorer<'s> {
         index: usize,
         shared: &SharedCtx,
         deadline: Option<Instant>,
-    ) -> (
-        TaskOutcome,
-        ExplorerStats,
-        Vec<Event>,
-        HashMap<MemoKey, MemoEntry>,
-    ) {
+    ) -> (TaskOutcome, ExplorerStats, Vec<Event>, MemoMap) {
         let mut search = Search::new(
             self.system,
             self.config,
@@ -666,10 +685,7 @@ impl<'s> CrashExplorer<'s> {
         // expansion; seed the local memo without re-counting it.
         search.visited.insert(
             (task.config.clone(), task.counts.clone()),
-            MemoEntry {
-                remaining: self.config.max_depth - task.path.len(),
-                from_disk: false,
-            },
+            MemoEntry::open(self.config.max_depth - task.path.len(), false),
         );
         let outcome = search.run(task.config.clone(), task.counts.clone(), task.path.len());
         (outcome, search.stats, search.path, search.visited)
@@ -745,7 +761,7 @@ struct SharedCtx {
     /// fully-explored tasks (plus disk-loaded facts). Sound to prune on
     /// from any task — unlike pre-order local entries, which are only
     /// certain once their task completes clean.
-    certified: RwLock<HashMap<MemoKey, MemoEntry>>,
+    certified: RwLock<MemoMap>,
     /// Freshly visited states across all tasks, for the global state cap.
     total_states: AtomicU64,
     capped: AtomicBool,
@@ -770,9 +786,12 @@ fn candidate_limit(n: usize) -> usize {
 /// output states, crash families the fault model disables, crashes of
 /// budget-exhausted or initial-state processes, system-wide crashes
 /// without full budget everywhere, and mid-operation crashes of processes
-/// with no operation in flight are all no-ops.
+/// with no operation in flight are all no-ops. `initial` holds every
+/// process's initial local state (the initial configuration's `states`),
+/// computed once per search.
 fn enabled_candidate(
     system: &System,
+    initial: &[LocalState],
     config: &Configuration,
     counts: &[usize],
     idx: usize,
@@ -797,11 +816,7 @@ fn enabled_candidate(
         // the state reset changes nothing, and any re-output it would
         // re-check was already checked when an earlier event recorded the
         // conflicting value.
-        if config.states[p.index()]
-            == system
-                .program()
-                .initial_state(p, system.inputs()[p.index()])
-        {
+        if config.states[p.index()] == initial[p.index()] {
             return None;
         }
         Some(Event::Crash(p))
@@ -813,11 +828,7 @@ fn enabled_candidate(
         if !model.system_wide || counts.iter().any(|&c| c >= max_crashes) {
             return None;
         }
-        let all_initial = (0..n).all(|i| {
-            let p = ProcessId(i as u16);
-            config.states[i] == system.program().initial_state(p, system.inputs()[i])
-        });
-        if all_initial {
+        if config.states == initial {
             return None;
         }
         Some(Event::SystemCrash)
@@ -898,21 +909,27 @@ enum TaskOutcome {
     Aborted,
 }
 
-/// One explicit DFS frame: a configuration with the index of the next
-/// candidate event to try. The frame owns the path slot its arrival event
-/// occupies (`has_event` is false only for the search root).
+/// One explicit DFS frame: a `(configuration, crash-counts)` state with the
+/// index of the next candidate event to try. The frame owns the path slot
+/// its arrival event occupies (`has_event` is false only for the search
+/// root). `cut` records whether anything below the frame was cut short by
+/// the depth budget, which decides whether the frame closes when it pops.
 struct Frame {
-    config: Configuration,
-    counts: Vec<usize>,
+    key: MemoKey,
     depth: usize,
     next: usize,
     has_event: bool,
+    cut: bool,
 }
 
 /// How the memo judged a freshly generated child state.
 enum MemoVerdict {
     Explore,
-    Skip,
+    /// Already covered; `closed` tells whether the covering entry was
+    /// closed (a hit on any other entry is a depth cut for the parent).
+    Hit {
+        closed: bool,
+    },
     Capped,
 }
 
@@ -921,12 +938,15 @@ enum MemoVerdict {
 struct Search<'a> {
     system: &'a System,
     budget: CrashtestConfig,
+    /// Every process's initial local state, for the no-op crash rules.
+    initial_states: Vec<LocalState>,
     /// Memo: for each state already explored *from*, the largest remaining
     /// schedule budget (`max_depth - depth`) it was explored with. Crash
     /// counts are part of the key, and a state reached again with *more*
     /// remaining budget is re-explored — the same configuration with more
-    /// budget (crash or depth) left can reach strictly more.
-    visited: HashMap<MemoKey, MemoEntry>,
+    /// budget (crash or depth) left can reach strictly more — unless its
+    /// entry is closed.
+    visited: MemoMap,
     path: Vec<Event>,
     stats: ExplorerStats,
     /// Live instrument handles (no-ops under a disabled tracer), resolved
@@ -953,7 +973,8 @@ impl<'a> Search<'a> {
         Search {
             system,
             budget,
-            visited: HashMap::new(),
+            initial_states: system.initial_config().states,
+            visited: MemoMap::default(),
             path: Vec::new(),
             stats: ExplorerStats::default(),
             events: tracer.counter("crashtest.events_applied"),
@@ -971,14 +992,32 @@ impl<'a> Search<'a> {
     /// explicit frame stack (no recursion: `--depth` in the thousands is
     /// a heap allocation, not a stack overflow). On a violation, the
     /// violating schedule is left in `self.path`.
+    ///
+    /// Each child is built in one scratch state with `clone_from`, so a
+    /// child that is a memo hit costs no allocation. A child that is
+    /// explored becomes the new frame's state, and the scratch takes over
+    /// the buffers of a popped frame.
+    ///
+    /// **Closure.** A frame whose whole subtree finished without a depth
+    /// cut — no frame at `max_depth`, and no memo hit on an entry that is
+    /// not closed (an in-progress ancestor's entry never is) — marks its
+    /// entry closed when it pops. By induction in pop order, no violation
+    /// is reachable from a closed state at any depth, so a closed entry
+    /// covers every later arrival whatever its remaining budget. The
+    /// re-exploration that closure saves would only revisit closed states
+    /// (everything reachable from a closed state is closed), so verdict,
+    /// counterexample and `states_visited` are unchanged.
     fn run(&mut self, config: Configuration, counts: Vec<usize>, depth: usize) -> TaskOutcome {
         let n = self.system.n();
+        let mut child: MemoKey = (config.clone(), counts.clone());
+        // Buffers of popped frames, reused for the scratch child.
+        let mut spare: Vec<MemoKey> = Vec::new();
         let mut stack = vec![Frame {
-            config,
-            counts,
+            key: (config, counts),
             depth,
             next: 0,
             has_event: false,
+            cut: false,
         }];
         let mut ticks: u32 = 0;
         while !stack.is_empty() {
@@ -991,52 +1030,60 @@ impl<'a> Search<'a> {
             let top = stack.len() - 1;
             if stack[top].depth >= self.budget.max_depth {
                 self.stats.depth_limited = true;
-                self.pop_frame(&mut stack);
+                stack[top].cut = true;
+                self.pop_frame(&mut stack, &mut spare);
                 continue;
             }
             if stack[top].next >= candidate_limit(n) {
-                self.pop_frame(&mut stack);
+                self.pop_frame(&mut stack, &mut spare);
                 continue;
             }
             let idx = stack[top].next;
             stack[top].next += 1;
             let frame = &stack[top];
-            let Some(event) =
-                enabled_candidate(self.system, &frame.config, &frame.counts, idx, &self.budget)
-            else {
+            let Some(event) = enabled_candidate(
+                self.system,
+                &self.initial_states,
+                &frame.key.0,
+                &frame.key.1,
+                idx,
+                &self.budget,
+            ) else {
                 continue;
             };
-            let mut next_config = frame.config.clone();
-            let effect = self.system.apply(&mut next_config, event);
+            child.0.clone_from(&frame.key.0);
+            child.1.clone_from(&frame.key.1);
+            let child_depth = frame.depth + 1;
+            let effect = self.system.apply(&mut child.0, event);
             self.stats.events_applied += 1;
             self.events.incr();
             self.path.push(event);
             if let Some(violation) = effect.violation {
                 return TaskOutcome::Violation(violation);
             }
-            let mut next_counts = frame.counts.to_vec();
-            charge_crash(&mut next_counts, event);
+            charge_crash(&mut child.1, event);
             // Remaining schedule budget at the child. A state is skipped
             // only if it was already explored with at least this much
-            // budget left — skipping on mere membership would prune
-            // in-budget schedules when a state first reached deep is
-            // reached again along a shorter prefix.
-            let child_depth = frame.depth + 1;
+            // budget left (or is closed) — skipping on mere membership
+            // would prune in-budget schedules when a state first reached
+            // deep is reached again along a shorter prefix.
             let remaining = self.budget.max_depth - child_depth;
-            let key = (next_config, next_counts);
-            match self.memo_check(&key, remaining, child_depth) {
+            match self.memo_check(&child, remaining, child_depth) {
                 MemoVerdict::Explore => {
-                    let (config, counts) = key;
+                    let fresh = spare.pop().unwrap_or_else(|| child.clone());
                     stack.push(Frame {
-                        config,
-                        counts,
+                        key: std::mem::replace(&mut child, fresh),
                         depth: child_depth,
                         next: 0,
                         has_event: true,
+                        cut: false,
                     });
                 }
-                MemoVerdict::Skip => {
+                MemoVerdict::Hit { closed } => {
                     self.path.pop();
+                    if !closed {
+                        stack[top].cut = true;
+                    }
                 }
                 MemoVerdict::Capped => {
                     // Walking the rest of the frontier cannot restore
@@ -1052,46 +1099,54 @@ impl<'a> Search<'a> {
         TaskOutcome::CleanComplete
     }
 
-    fn pop_frame(&mut self, stack: &mut Vec<Frame>) {
-        if let Some(frame) = stack.pop() {
-            if frame.has_event {
-                self.path.pop();
-            }
+    /// Pops the top frame: a cut propagates to the parent, an uncut frame
+    /// closes its memo entry, and its buffers go back to `spare`.
+    fn pop_frame(&mut self, stack: &mut Vec<Frame>, spare: &mut Vec<MemoKey>) {
+        let Some(frame) = stack.pop() else {
+            return;
+        };
+        if frame.has_event {
+            self.path.pop();
         }
+        if frame.cut {
+            if let Some(parent) = stack.last_mut() {
+                parent.cut = true;
+            }
+        } else if let Some(entry) = self.visited.get_mut(&frame.key) {
+            entry.closed = true;
+        }
+        spare.push(frame.key);
     }
 
     /// Looks a child up in the local memo (then the shared certified map,
     /// in sharded mode) and decides whether to explore it.
     fn memo_check(&mut self, key: &MemoKey, remaining: usize, child_depth: usize) -> MemoVerdict {
-        if let Some(entry) = self.visited.get(key).copied() {
-            if entry.remaining >= remaining {
+        let local = self.visited.get(key).copied();
+        if let Some(entry) = local {
+            if entry.covers(remaining) {
                 self.hit(entry);
-                return MemoVerdict::Skip;
+                return MemoVerdict::Hit {
+                    closed: entry.closed,
+                };
             }
-            if let Some(entry) = self.shared_lookup(key) {
-                if entry.remaining >= remaining {
-                    self.hit(entry);
-                    self.visited.insert(key.clone(), entry);
-                    return MemoVerdict::Skip;
-                }
-            }
-            self.stats.re_explored += 1;
-            self.re_explored.incr();
-            self.visited.insert(
-                key.clone(),
-                MemoEntry {
-                    remaining,
-                    from_disk: false,
-                },
-            );
-            return MemoVerdict::Explore;
         }
         if let Some(entry) = self.shared_lookup(key) {
-            if entry.remaining >= remaining {
+            if entry.covers(remaining) {
                 self.hit(entry);
                 self.visited.insert(key.clone(), entry);
-                return MemoVerdict::Skip;
+                return MemoVerdict::Hit {
+                    closed: entry.closed,
+                };
             }
+        }
+        let fresh = MemoEntry::open(remaining, false);
+        if local.is_some() {
+            self.stats.re_explored += 1;
+            self.re_explored.incr();
+            if let Some(entry) = self.visited.get_mut(key) {
+                *entry = fresh;
+            }
+            return MemoVerdict::Explore;
         }
         // A genuinely fresh state: counts against the global cap.
         let over_cap = match self.shared {
@@ -1106,13 +1161,7 @@ impl<'a> Search<'a> {
         }
         self.stats.states_visited += 1;
         self.depths.observe(child_depth as u64);
-        self.visited.insert(
-            key.clone(),
-            MemoEntry {
-                remaining,
-                from_disk: false,
-            },
-        );
+        self.visited.insert(key.clone(), fresh);
         MemoVerdict::Explore
     }
 
@@ -1296,6 +1345,207 @@ mod tests {
         oracle_finds_violation(sys, &initial, &counts, 0, cfg)
     }
 
+    /// A register toggle that stops on a flag, racing a counter. `p0`
+    /// alternates between reading the flag `D` and flipping `R`, so four
+    /// `p0` steps lead straight back to the state they started from — an
+    /// ancestor still on the DFS stack — until `D` is set, after which `p0`
+    /// decides and its branches terminate. `p1` fetch-and-adds `F` twice,
+    /// sets `D` and decides its input, except that two fresh steps after a
+    /// reset that read 3 output the invalid 99 (a crash while `F` holds 2
+    /// makes the violation reachable).
+    struct ToggleProgram {
+        toggle: ObjectId,
+        flag: ObjectId,
+        counter: ObjectId,
+    }
+
+    impl Program for ToggleProgram {
+        fn name(&self) -> String {
+            "toggle".into()
+        }
+
+        fn initial_state(&self, _pid: ProcessId, input: u32) -> LocalState {
+            // p0: [register value written last, phase, input]
+            // p1: [steps since last reset, last response seen, input]
+            LocalState::from_words([0, 0, input])
+        }
+
+        fn action(&self, pid: ProcessId, state: &LocalState) -> Action {
+            let (a, b) = (state.word(0), state.word(1));
+            if pid.index() == 0 {
+                return match b {
+                    0 => Action::Invoke {
+                        object: self.flag,
+                        op: OpId::new(2), // read
+                    },
+                    1 => Action::Invoke {
+                        object: self.toggle,
+                        op: OpId::new(1 - a as u16), // write(1 - a)
+                    },
+                    _ => Action::Output(state.word(2)),
+                };
+            }
+            match (a, b) {
+                (2, 5) => Action::Output(99),
+                (0 | 1, _) => Action::Invoke {
+                    object: self.counter,
+                    op: OpId::new(0), // fetch&add(1)
+                },
+                (2, _) => Action::Invoke {
+                    object: self.flag,
+                    op: OpId::new(1), // write(1)
+                },
+                _ => Action::Output(state.word(2)),
+            }
+        }
+
+        fn transition(&self, pid: ProcessId, state: &LocalState, response: Response) -> LocalState {
+            let (a, b, input) = (state.word(0), state.word(1), state.word(2));
+            let next = if pid.index() == 1 {
+                [a + 1, response.index() as u32, input]
+            } else if b == 1 {
+                [1 - a, 0, input]
+            } else if response.index() == 1 {
+                [a, 2, input] // the flag is set: decide
+            } else {
+                [a, 1, input]
+            };
+            LocalState::from_words(next)
+        }
+    }
+
+    fn toggle_system() -> System {
+        let mut layout = HeapLayout::new();
+        let toggle = layout.add_object("R", Arc::new(Register::new(2)), ValueId::new(0));
+        let flag = layout.add_object("D", Arc::new(Register::new(2)), ValueId::new(0));
+        let counter = layout.add_object("F", Arc::new(FetchAndAdd::new(8)), ValueId::new(0));
+        System::new(
+            Arc::new(ToggleProgram {
+                toggle,
+                flag,
+                counter,
+            }),
+            Arc::new(layout),
+            vec![0, 0],
+        )
+    }
+
+    /// The first violating schedule of a bounded DFS with *no* memo: the
+    /// explorer's event graph (same candidate order, same no-op skip
+    /// rules) walked path by path, never stepping onto a state already on
+    /// the path (`on_path`). A memo hit on an in-progress ancestor cuts
+    /// exactly such a cycle, and any other hit skips only schedules
+    /// already covered, so the explorer must report this same schedule.
+    fn oracle_counterexample(
+        sys: &System,
+        initial: &[LocalState],
+        config: &Configuration,
+        counts: &[usize],
+        path: &mut Vec<Event>,
+        on_path: &mut Vec<MemoKey>,
+        cfg: &CrashtestConfig,
+    ) -> bool {
+        if path.len() >= cfg.max_depth {
+            return false;
+        }
+        for idx in 0..candidate_limit(sys.n()) {
+            let Some(event) = enabled_candidate(sys, initial, config, counts, idx, cfg) else {
+                continue;
+            };
+            let mut next = config.clone();
+            path.push(event);
+            if sys.apply(&mut next, event).violation.is_some() {
+                return true;
+            }
+            let mut next_counts = counts.to_vec();
+            charge_crash(&mut next_counts, event);
+            let key = (next, next_counts);
+            if !on_path.contains(&key) {
+                on_path.push(key.clone());
+                if oracle_counterexample(sys, initial, &key.0, &key.1, path, on_path, cfg) {
+                    return true;
+                }
+                on_path.pop();
+            }
+            path.pop();
+        }
+        false
+    }
+
+    #[test]
+    fn closure_keeps_the_counterexample_and_the_visited_states() {
+        // Closed subtrees are never re-explored. That must leave the
+        // counterexample — the first violating schedule of the cycle-
+        // cutting, unmemoized oracle — and `states_visited` exactly as
+        // they were without the rule; only `events_applied` may drop.
+        // Pinned per fault model × budget: (states_visited, events_applied
+        // of the search before closure existed).
+        let budgets = [(0, 12), (1, 5), (1, 8), (2, 6), (2, 8)];
+        let models = [
+            FaultModel::PER_PROCESS,
+            FaultModel::SYSTEM,
+            FaultModel::MID_OP,
+            FaultModel::ALL,
+        ];
+        #[rustfmt::skip]
+        let pins = [
+            ("trap", trap_system(), [
+                (25, 46), (21, 29), (61, 110), (27, 39), (75, 136),
+                (25, 46), (19, 23), (52, 88), (27, 36), (70, 124),
+                (25, 46), (33, 55), (96, 297), (58, 116), (176, 646),
+                (25, 46), (38, 63), (103, 326), (74, 156), (210, 859),
+            ]),
+            ("toggle", toggle_system(), [
+                (18, 51), (57, 94), (151, 369), (109, 202), (236, 563),
+                (18, 51), (55, 87), (112, 321), (111, 219), (206, 559),
+                (18, 51), (105, 299), (226, 1059), (284, 998), (284, 969),
+                (18, 51), (123, 334), (254, 1173), (393, 1469), (387, 1386),
+            ]),
+        ];
+        for (name, sys, pinned) in &pins {
+            let initial = sys.initial_config();
+            let mut saved = 0;
+            for (i, (fault_model, (max_crashes, max_depth))) in models
+                .iter()
+                .flat_map(|m| budgets.iter().map(move |b| (*m, *b)))
+                .enumerate()
+            {
+                let cfg = CrashtestConfig {
+                    max_crashes,
+                    max_depth,
+                    fault_model,
+                    ..Default::default()
+                };
+                let ctx = format!("{name} {cfg:?}");
+                let report = CrashExplorer::new(sys, cfg).explore();
+                let mut path = Vec::new();
+                let found = oracle_counterexample(
+                    sys,
+                    &initial.states,
+                    &initial,
+                    &vec![0; sys.n()],
+                    &mut path,
+                    &mut vec![(initial.clone(), vec![0; sys.n()])],
+                    &cfg,
+                );
+                assert_eq!(
+                    report.counterexample.map(|c| c.schedule),
+                    found.then(|| Schedule::from_events(path)),
+                    "{ctx}: counterexample"
+                );
+                let (states, events_before) = pinned[i];
+                assert_eq!(report.stats.states_visited, states, "{ctx}: states");
+                assert!(report.stats.events_applied <= events_before, "{ctx}");
+                saved += events_before - report.stats.events_applied;
+            }
+            // The toggle's terminating branches close; the trap's never do
+            // (its toggle runs forever), so only its pins are tight.
+            if *name == "toggle" {
+                assert!(saved > 0, "closure never fired on {name}");
+            }
+        }
+    }
+
     #[test]
     fn depth_cap_memoization_is_depth_aware() {
         // Regression: a visited-set keyed only on (configuration,
@@ -1404,6 +1654,28 @@ mod tests {
             "tournament consensus must survive every budgeted crash placement: {:?}",
             report.counterexample
         );
+    }
+
+    #[test]
+    fn closure_cuts_the_tournament_events_but_not_its_states() {
+        // `crashtest tournament:sticky --crashes 2 --depth 16 --fault-model
+        // mid-op`: the same 993 states as before closed subtrees were
+        // skipped (CI pins the CLI run too), in fewer than the 16,361
+        // events the search applied without the rule.
+        let sys = TournamentConsensus::try_new(Arc::new(StickyBit::new()), vec![0, 1]).unwrap();
+        let report = CrashExplorer::new(
+            &sys,
+            CrashtestConfig {
+                max_crashes: 2,
+                max_depth: 16,
+                fault_model: FaultModel::MID_OP,
+                ..Default::default()
+            },
+        )
+        .explore();
+        assert!(report.is_certified_clean());
+        assert_eq!(report.stats.states_visited, 993);
+        assert_eq!(report.stats.events_applied, 15_190);
     }
 
     #[test]

@@ -46,6 +46,7 @@ mod explorer;
 mod memo;
 mod replay;
 mod shrink;
+mod wordhash;
 
 pub use diagnose::{diagnose, Diagnosis, Divergence};
 pub use explorer::{

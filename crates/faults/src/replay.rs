@@ -143,6 +143,26 @@ mod tests {
     }
 
     #[test]
+    fn initial_output_counterexamples_confirm_end_to_end() {
+        // A program that outputs its input at time zero, with inputs 0 and
+        // 1, violates agreement before any event: both engines report the
+        // empty schedule, and the threaded replay must confirm it.
+        let sys = System::new(
+            std::sync::Arc::new(rcn_model::OutputInput),
+            std::sync::Arc::new(rcn_model::HeapLayout::new()),
+            vec![0, 1],
+        );
+        let cex = CrashExplorer::new(&sys, CrashtestConfig::default())
+            .explore()
+            .counterexample
+            .expect("conflicting initial outputs violate");
+        assert!(cex.schedule.is_empty());
+        let report = replay(&sys, &cex.schedule);
+        assert!(report.confirmed(), "{report}");
+        assert_eq!(report.threaded_violation, Some(cex.violation));
+    }
+
+    #[test]
     fn clean_schedules_do_not_confirm() {
         let sys = TasConsensus::system(vec![0, 1]);
         let report = replay(&sys, &"p0 p0 p1 p1 p1".parse().unwrap());

@@ -170,15 +170,32 @@ impl McReport {
     }
 }
 
-/// One stored state plus the back-pointer that reconstructs its schedule.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// One stored state: a configuration plus the crashes spent reaching it.
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct StateKey {
     config: Configuration,
     crashes: Vec<u16>,
 }
 
+/// Written out so that `clone_from` reuses both buffers: every child is
+/// built in one scratch key and only copied out when it is stored.
+impl Clone for StateKey {
+    fn clone(&self) -> Self {
+        StateKey {
+            config: self.config.clone(),
+            crashes: self.crashes.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.crashes.clone_from(&source.crashes);
+    }
+}
+
+/// The back-pointer that reconstructs a stored state's schedule; the state
+/// itself lives at the same index of the checker's key store.
 struct Node {
-    key: StateKey,
     parent: Option<(u32, Event)>,
     depth: u16,
 }
@@ -241,16 +258,17 @@ impl<'s> ModelChecker<'s> {
 
         let n = self.system.n();
         let mut nodes = vec![Node {
-            key: StateKey {
-                config: initial,
-                crashes: vec![0; n],
-            },
             parent: None,
             depth: 0,
         }];
+        let mut keys: Vec<StateKey> = vec![StateKey {
+            config: initial,
+            crashes: vec![0; n],
+        }];
         let mut index = StateIndex::new();
-        let mut keys: Vec<StateKey> = vec![nodes[0].key.clone()];
         index.insert(&keys[0], 0);
+        // Every child is built here, then copied into `keys` if new.
+        let mut next = keys[0].clone();
         stats.states_visited = 1;
         stats.frontier_peak = 1;
         depths.observe(0);
@@ -286,13 +304,12 @@ impl<'s> ModelChecker<'s> {
                 // every process still has allowance.
                 match event {
                     Event::Crash(p) | Event::CrashDuring(p) => {
-                        if nodes[id].key.crashes[p.index()] as usize >= self.config.max_crashes {
+                        if keys[id].crashes[p.index()] as usize >= self.config.max_crashes {
                             continue;
                         }
                     }
                     Event::SystemCrash => {
-                        if nodes[id]
-                            .key
+                        if keys[id]
                             .crashes
                             .iter()
                             .any(|&c| c as usize >= self.config.max_crashes)
@@ -302,8 +319,8 @@ impl<'s> ModelChecker<'s> {
                     }
                     Event::Step(_) => {}
                 }
-                let mut next = nodes[id].key.config.clone();
-                let effect = self.system.apply(&mut next, event);
+                next.clone_from(&keys[id]);
+                let effect = self.system.apply(&mut next.config, event);
                 stats.events_applied += 1;
                 events_counter.incr();
                 if let Some(violation) = effect.violation {
@@ -320,21 +337,16 @@ impl<'s> ModelChecker<'s> {
                     self.publish(&report, &span);
                     return report;
                 }
-                let mut crashes = nodes[id].key.crashes.clone();
                 match event {
-                    Event::Crash(p) | Event::CrashDuring(p) => crashes[p.index()] += 1,
+                    Event::Crash(p) | Event::CrashDuring(p) => next.crashes[p.index()] += 1,
                     Event::SystemCrash => {
-                        for c in crashes.iter_mut() {
+                        for c in next.crashes.iter_mut() {
                             *c += 1;
                         }
                     }
                     Event::Step(_) => {}
                 }
-                let key = StateKey {
-                    config: next,
-                    crashes,
-                };
-                if index.find(&keys, &key).is_some() {
+                if index.find(&keys, &next).is_some() {
                     stats.dedup_hits += 1;
                     dedup_counter.incr();
                     continue;
@@ -343,10 +355,9 @@ impl<'s> ModelChecker<'s> {
                     stats.state_clipped = true;
                     continue;
                 }
-                index.insert(&key, nodes.len());
-                keys.push(key.clone());
+                index.insert(&next, nodes.len());
+                keys.push(next.clone());
                 nodes.push(Node {
-                    key,
                     parent: Some((id as u32, event)),
                     depth: (depth + 1) as u16,
                 });

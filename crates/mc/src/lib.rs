@@ -12,7 +12,8 @@
 //! canonically-hashed states, and **deliberately shares no code** with
 //! either engine — this crate depends only on `rcn-model` (the semantics
 //! under test) and `rcn-obs` (observability). Its own hashing
-//! ([`hash`]: FNV-1a plus a collision-safe chained index), its own search
+//! ([`hash`]: a word-folded FNV-style digest plus a collision-safe chained
+//! index), its own search
 //! ([`checker`]: FIFO frontier, parent pointers, no pruning rules), its
 //! own valency fixpoint ([`valency`]: backward worklist over explicit
 //! edges). Where the two stacks agree, the verdict no longer hinges on any

@@ -7,7 +7,7 @@
 //! the initial configuration when `p_i` may crash at most `z·n ×` (steps of
 //! lower-id processes) times, allowances clamped at a ceiling — with a
 //! different implementation: breadth-first search keyed by the canonical
-//! FNV index of [`crate::hash`], explicit edge lists, and a backward
+//! digest index of [`crate::hash`], explicit edge lists, and a backward
 //! worklist propagation from deciding states. Agreement between the two is
 //! the RCN201 cross-check.
 //!
@@ -92,10 +92,26 @@ pub struct ValencyReport {
 }
 
 /// One stored budgeted state.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 struct BudgetKey {
     config: rcn_model::Configuration,
     allowance: Vec<u16>,
+}
+
+/// Written out so that `clone_from` reuses both buffers: every successor
+/// is built in one scratch key and only copied out when it is stored.
+impl Clone for BudgetKey {
+    fn clone(&self) -> Self {
+        BudgetKey {
+            config: self.config.clone(),
+            allowance: self.allowance.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.config.clone_from(&source.config);
+        self.allowance.clone_from(&source.allowance);
+    }
 }
 
 /// Breadth-first valency check of `system`'s initial configuration under
@@ -107,6 +123,7 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
         config: system.initial_config(),
         allowance: vec![0; n],
     };
+    let mut next = init.clone();
     let mut keys = vec![init];
     let mut index = StateIndex::new();
     index.insert(&keys[0], 0);
@@ -119,12 +136,9 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
         head += 1;
         for i in 0..n {
             let p = ProcessId(i as u16);
-            let mut candidates = vec![Event::Step(p)];
-            if i > 0 && keys[id].allowance[i] > 0 {
-                candidates.push(Event::Crash(p));
-            }
-            for event in candidates {
-                let mut next = keys[id].clone();
+            let crash = (i > 0 && keys[id].allowance[i] > 0).then_some(Event::Crash(p));
+            for event in std::iter::once(Event::Step(p)).chain(crash) {
+                next.clone_from(&keys[id]);
                 system.apply(&mut next.config, event);
                 match event {
                     Event::Step(_) => {
@@ -149,7 +163,7 @@ pub fn valency_check(system: &System, config: ValencyConfig) -> ValencyReport {
                         }
                         let t = keys.len();
                         index.insert(&next, t);
-                        keys.push(next);
+                        keys.push(next.clone());
                         t
                     }
                 };

@@ -31,8 +31,21 @@ use std::fmt;
 /// assert_eq!(s.word(0), 1);
 /// assert_eq!(s.words(), &[1, 2]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LocalState(Vec<u32>);
+
+/// Written out so that [`clone_from`](Clone::clone_from) reuses the word
+/// buffer: the search engines rebuild a child configuration in one scratch
+/// value per event, and the derived impl would reallocate every state.
+impl Clone for LocalState {
+    fn clone(&self) -> Self {
+        LocalState(self.0.clone())
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
 
 impl LocalState {
     /// Creates a state from words.

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 /// A configuration: per-process local states, per-object values, and the
 /// first output of each process (for checking).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Configuration {
     /// Local state of each process.
     pub states: Vec<LocalState>,
@@ -24,6 +24,26 @@ pub struct Configuration {
     pub values: Vec<ValueId>,
     /// First value output by each process, if any.
     pub decided: Vec<Option<u32>>,
+}
+
+/// Written out so that [`clone_from`](Clone::clone_from) reuses every
+/// buffer, the per-process word vectors included (`Vec::clone_from` clones
+/// element-wise into the existing prefix): the derived impl would allocate
+/// five or more vectors per configuration.
+impl Clone for Configuration {
+    fn clone(&self) -> Self {
+        Configuration {
+            states: self.states.clone(),
+            values: self.values.clone(),
+            decided: self.decided.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.states.clone_from(&source.states);
+        self.values.clone_from(&source.values);
+        self.decided.clone_from(&source.decided);
+    }
 }
 
 impl Configuration {
@@ -630,6 +650,79 @@ mod tests {
             c
         };
         assert_eq!(via_during, via_crash);
+    }
+
+    /// Configurations with `procs` processes whose local states hold
+    /// `words` words each (both ranges inclusive).
+    fn arb_config(
+        procs: std::ops::RangeInclusive<usize>,
+        words: std::ops::RangeInclusive<usize>,
+    ) -> impl proptest::prelude::Strategy<Value = Configuration> {
+        use proptest::prelude::*;
+        (
+            prop::collection::vec(prop::collection::vec(0u32..1000, words), procs.clone()),
+            prop::collection::vec(0u16..8, 0..=4),
+            prop::collection::vec((prop::bool::ANY, 0u32..3), procs),
+        )
+            .prop_map(|(states, values, decided)| {
+                // Both per-process vectors get the same process count.
+                let n = states.len().min(decided.len());
+                Configuration {
+                    states: states
+                        .into_iter()
+                        .take(n)
+                        .map(LocalState::from_words)
+                        .collect(),
+                    values: values.into_iter().map(ValueId::new).collect(),
+                    decided: decided
+                        .into_iter()
+                        .take(n)
+                        .map(|(d, v)| d.then_some(v))
+                        .collect(),
+                }
+            })
+    }
+
+    /// Clones `src` over a clone of `dst` with `clone_from` and checks the
+    /// result against a plain `clone`, for whole configurations and for
+    /// every pairing of their local states.
+    fn assert_clone_from_matches(
+        src: &Configuration,
+        dst: &Configuration,
+    ) -> proptest::prelude::TestCaseResult {
+        let mut reused = dst.clone();
+        reused.clone_from(src);
+        proptest::prelude::prop_assert_eq!(&reused, &src.clone());
+        for a in &src.states {
+            for b in &dst.states {
+                let mut state = b.clone();
+                state.clone_from(a);
+                proptest::prelude::prop_assert_eq!(&state, a);
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// `clone_from` reuses the destination's buffers; a destination
+        /// with more processes and longer word vectors must keep no stale
+        /// process or word.
+        #[test]
+        fn clone_from_into_a_larger_configuration_equals_clone(
+            src in arb_config(1..=3, 0..=2),
+            dst in arb_config(4..=6, 3..=5),
+        ) {
+            assert_clone_from_matches(&src, &dst)?;
+        }
+
+        /// The other direction: the destination is smaller and must grow.
+        #[test]
+        fn clone_from_into_a_smaller_configuration_equals_clone(
+            src in arb_config(4..=6, 3..=5),
+            dst in arb_config(1..=3, 0..=2),
+        ) {
+            assert_clone_from_matches(&src, &dst)?;
+        }
     }
 
     #[test]

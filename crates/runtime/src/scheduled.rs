@@ -37,8 +37,9 @@ pub struct ScheduleReport {
     /// The first value each process output (including initial-state
     /// outputs).
     pub decisions: Vec<Option<u32>>,
-    /// The first agreement/validity violation among the replayed events,
-    /// if any.
+    /// The first agreement/validity violation: a time-zero violation of
+    /// the initial-state outputs (as [`System::check_initial_outputs`]
+    /// reports it), else the first among the replayed events, if any.
     pub violation: Option<Violation>,
 }
 
@@ -150,15 +151,18 @@ pub fn run_schedule_traced(
     let events: Vec<Event> = schedule.events().to_vec();
 
     // Seed the decision table with initial-state outputs, like
-    // `System::initial_config` does, so re-output checks see them.
+    // `System::initial_config` does, so re-output checks see them — and
+    // the violation with their own time-zero check, so a protocol that
+    // violates before any event (conflicting or invalid initial outputs)
+    // is confirmed by the empty schedule, as the abstract side reports it.
     let initial = system.initial_config();
     let shared = Mutex::new(Shared {
         cursor: 0,
         sys_next: 0,
         trace: Vec::with_capacity(events.len()),
         outputs: Vec::new(),
-        decided: initial.decided.clone(),
-        violation: None,
+        violation: system.check_initial_outputs(&initial),
+        decided: initial.decided,
     });
     let turn = Condvar::new();
 

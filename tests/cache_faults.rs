@@ -43,9 +43,11 @@ fn assert_same(a: &TypeClassification, b: &TypeClassification, ctx: &str) {
 }
 
 /// The fault-free baseline, plus the number of I/O operations a cold and a
-/// warm run perform — the sweep's injection points.
-fn baseline() -> (TypeClassification, u64, u64) {
-    let dir = scratch("baseline");
+/// warm run perform — the sweep's injection points. Each caller passes its
+/// own `tag`: the tests run in parallel, and a shared baseline directory
+/// let one test's cleanup delete another's cache mid-run.
+fn baseline(tag: &str) -> (TypeClassification, u64, u64) {
+    let dir = scratch(&format!("baseline-{tag}"));
     let cold_io = Arc::new(FaultyIo::counting());
     let reference = classify_with_io(&dir, cold_io.clone());
     let cold_ops = cold_io.ops_seen();
@@ -61,7 +63,7 @@ fn baseline() -> (TypeClassification, u64, u64) {
 
 #[test]
 fn every_cold_run_injection_point_falls_back_to_recompute() {
-    let (reference, cold_ops, _) = baseline();
+    let (reference, cold_ops, _) = baseline("cold");
     let mut injected_points = 0;
     for mode in [
         FaultMode::Error,
@@ -91,7 +93,7 @@ fn every_cold_run_injection_point_falls_back_to_recompute() {
 
 #[test]
 fn every_warm_run_injection_point_falls_back_to_recompute() {
-    let (reference, _, warm_ops) = baseline();
+    let (reference, _, warm_ops) = baseline("warm");
     for mode in [
         FaultMode::Error,
         FaultMode::Truncate,
@@ -125,7 +127,7 @@ fn torn_writes_are_caught_by_the_next_reader_and_quarantined() {
     // at least one fault lands on an entry write, whose torn file the next
     // run must move to `.bad` (not silently delete) while still answering
     // correctly — and `.bad` litter never breaks the run after that.
-    let (reference, cold_ops, _) = baseline();
+    let (reference, cold_ops, _) = baseline("torn");
     let mut saw_quarantine = false;
     for k in 0..cold_ops {
         let dir = scratch(&format!("quarantine-{k}"));
@@ -160,7 +162,7 @@ fn sweep_coverage_is_printable() {
     // Not an assertion-bearing test so much as the experiment's coverage
     // record: how many injection points each sweep covers (see
     // EXPERIMENTS.md E13). Kept as a test so the numbers cannot rot.
-    let (_, cold_ops, warm_ops) = baseline();
+    let (_, cold_ops, warm_ops) = baseline("coverage");
     println!("cold-run injection points per mode: {cold_ops}");
     println!("warm-run injection points per mode: {warm_ops}");
     println!("total swept (4 modes): {}", 4 * (cold_ops + warm_ops));

@@ -9,7 +9,8 @@ use rcn::spec::zoo::{
     TestAndSet, Tnn,
 };
 use rcn::spec::ObjectType;
-use std::path::PathBuf;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 
 const CAP: usize = 4;
 
@@ -92,6 +93,33 @@ fn warm_run_reproduces_cold_run_across_the_zoo() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// The `(level, initial value, op multiset)` key of every analysis
+/// persisted in `dir`, read straight from the cache files.
+fn persisted_keys(dir: &Path) -> BTreeSet<(u64, u16, Vec<u16>)> {
+    #[derive(serde::Deserialize)]
+    struct Entry {
+        initial: u16,
+        ops: Vec<u16>,
+    }
+    #[derive(serde::Deserialize)]
+    struct File {
+        level: u64,
+        entries: Vec<Entry>,
+    }
+    let mut keys = BTreeSet::new();
+    for entry in std::fs::read_dir(dir).expect("cache dir exists") {
+        let text = std::fs::read_to_string(entry.expect("dir entry").path()).expect("cache file");
+        let file: File = serde_json::from_str(&text).expect("cache file parses");
+        for e in file.entries {
+            assert!(
+                keys.insert((file.level, e.initial, e.ops)),
+                "duplicate entry"
+            );
+        }
+    }
+    keys
+}
+
 #[test]
 fn warm_cache_agrees_under_threads_and_partition_sharding() {
     // The cache stores analyses, not search results: a warm parallel,
@@ -100,7 +128,22 @@ fn warm_cache_agrees_under_threads_and_partition_sharding() {
     let ty = Tnn::new(4, 2);
     let cold = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
     let reference = cold.classify(&ty, 5).expect("cap in range");
+    let stored = persisted_keys(&dir);
+    assert_eq!(stored.len() as u64, cold.stats().disk_entries_written);
 
+    // A sequential warm engine retraces the cold search exactly, so it
+    // finds every analysis on disk and computes nothing.
+    let sequential = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+    let again = sequential.classify(&ty, 5).expect("cap in range");
+    assert_same_classification(&reference, &again, "sequential warm");
+    assert_eq!(sequential.stats().analyses_computed, 0);
+    assert_eq!(persisted_keys(&dir), stored);
+
+    // Parallel workers may speculate past the first witness into instances
+    // the sequential search never reached; those analyses are computed and
+    // persisted as new entries. How many depends on thread timing. The
+    // contract is exact all the same: no analysis present on disk is ever
+    // recomputed — every computation adds a key the disk did not hold.
     let warm = SearchEngine::new(4)
         .with_partition_sharding(PartitionSharding::Always)
         .with_disk_cache(DiskCache::new(&dir));
@@ -113,7 +156,14 @@ fn warm_cache_agrees_under_threads_and_partition_sharding() {
         reference.recoverable_consensus_number
     );
     assert!(warm.stats().disk_hits > 0, "stats: {}", warm.stats());
-    assert_eq!(warm.stats().analyses_computed, 0);
+    let after = persisted_keys(&dir);
+    assert!(stored.is_subset(&after), "warm run lost entries");
+    assert_eq!(
+        (after.len() - stored.len()) as u64,
+        warm.stats().analyses_computed,
+        "an analysis already on disk was recomputed: {}",
+        warm.stats()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
