@@ -112,30 +112,20 @@ impl BitSet {
     }
 
     /// Word-level OR primitive: ORs `src` (a little-endian word image of a
-    /// bitset) into `self` at bit offset `shift`. Tail bits of `src` beyond
-    /// its own capacity are assumed clear (true for well-formed sets), so
+    /// bitset) into `self` at bit offset `shift`, as [`or_words`]. Tail bits
+    /// of `src` beyond its own capacity are assumed clear (true for
+    /// well-formed sets and for the decider's downstream slots), so
     /// well-formedness of `self` is preserved whenever the caller has
     /// checked the capacity bound, as [`union_shifted_with`]
     /// (Self::union_shifted_with) does.
-    fn or_words(&mut self, src: &[u64], shift: usize) {
-        let (w, b) = (shift / 64, shift % 64);
-        if b == 0 {
-            for (i, &s) in src.iter().enumerate() {
-                if s != 0 {
-                    self.words[w + i] |= s;
-                }
-            }
-        } else {
-            for (i, &s) in src.iter().enumerate() {
-                if s == 0 {
-                    continue;
-                }
-                self.words[w + i] |= s << b;
-                if let Some(hi) = self.words.get_mut(w + i + 1) {
-                    *hi |= s >> (64 - b);
-                }
-            }
-        }
+    pub(crate) fn or_words(&mut self, src: &[u64], shift: usize) {
+        or_words(&mut self.words, src, shift);
+    }
+
+    /// The little-endian word image of the set (bit `i` is bit `i % 64` of
+    /// word `i / 64`; tail bits beyond the capacity are clear).
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Returns `true` if the two sets share an element.
@@ -174,6 +164,31 @@ impl BitSet {
             words: &self.words,
             word_index: 0,
             current: self.words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+/// The word-level OR kernel behind the decider hot loops: ORs `src` into
+/// `dst` at bit offset `shift`. The shift is rarely word-aligned; each
+/// source word is then split across (at most) two destination words, and a
+/// high spill past the end of `dst` is dropped (it can only carry clear
+/// tail bits when the caller has checked the capacity bound).
+pub(crate) fn or_words(dst: &mut [u64], src: &[u64], shift: usize) {
+    let (w, b) = (shift / 64, shift % 64);
+    debug_assert!(w + src.len() <= dst.len(), "or_words out of range");
+    if b == 0 {
+        for (d, &s) in dst[w..].iter_mut().zip(src) {
+            *d |= s;
+        }
+    } else {
+        for (i, &s) in src.iter().enumerate() {
+            if s == 0 {
+                continue;
+            }
+            dst[w + i] |= s << b;
+            if let Some(hi) = dst.get_mut(w + i + 1) {
+                *hi |= s >> (64 - b);
+            }
         }
     }
 }

@@ -14,8 +14,8 @@
 //! for any deterministic type.
 
 use crate::reach::Analysis;
-use crate::search::{op_multisets, partitions};
-use crate::witness::{Team, Witness, WitnessError};
+use crate::search::{op_multisets, partitions, team_masks};
+use crate::witness::{Witness, WitnessError};
 use rcn_spec::{ObjectType, ValueId};
 use serde::{Deserialize, Serialize};
 
@@ -47,16 +47,18 @@ pub fn check_discerning<T: ObjectType + ?Sized>(
 ) -> Result<bool, WitnessError> {
     witness.validate(ty)?;
     let analysis = Analysis::new(ty, witness.initial, &witness.ops);
-    let t0 = witness.team_members(Team::T0);
-    let t1 = witness.team_members(Team::T1);
-    Ok(pairs_disjoint(&analysis, &t0, &t1))
+    let (t0, t1) = team_masks(&witness.team_of);
+    Ok(pairs_disjoint(&analysis, t0, t1))
 }
 
-pub(crate) fn pairs_disjoint(analysis: &Analysis, t0: &[usize], t1: &[usize]) -> bool {
+/// `R_{0,j} ∩ R_{1,j} = ∅` for every `j`, for the teams with member
+/// bitmasks `t0`/`t1`. Evaluated one word at a time — the per-first words of
+/// each team are OR-ed on the fly — so a partition check allocates nothing
+/// and stops at the first overlapping word.
+pub(crate) fn pairs_disjoint(analysis: &Analysis, t0: u32, t1: u32) -> bool {
+    let words = analysis.pair_words();
     (0..analysis.n()).all(|j| {
-        !analysis
-            .pair_set(t0, j)
-            .intersects(&analysis.pair_set(t1, j))
+        (0..words).all(|w| analysis.pair_word(t0, j, w) & analysis.pair_word(t1, j, w) == 0)
     })
 }
 
@@ -76,9 +78,8 @@ pub fn find_discerning_witness<T: ObjectType + ?Sized>(ty: &T, n: usize) -> Opti
         for ops in op_multisets(ty.num_ops(), n) {
             let analysis = Analysis::new(ty, u, &ops);
             for teams in partitions(n) {
-                let t0: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T0).collect();
-                let t1: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T1).collect();
-                if pairs_disjoint(&analysis, &t0, &t1) {
+                let (t0, t1) = team_masks(&teams);
+                if pairs_disjoint(&analysis, t0, t1) {
                     return Some(Witness::new(u, teams, ops));
                 }
             }
@@ -169,6 +170,7 @@ pub fn discerning_number<T: ObjectType + ?Sized>(ty: &T, cap: usize) -> LevelRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::witness::Team;
     use rcn_spec::zoo::{
         BoundedQueue, CompareAndSwap, ConsensusObject, FetchAndAdd, Register, StickyBit, Swap,
         TestAndSet,

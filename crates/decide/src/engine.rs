@@ -2,7 +2,7 @@
 //!
 //! Both witness searches iterate the same space: `(initial value, op
 //! multiset)` *instances* — each requiring one [`Analysis`] (the expensive
-//! part) — times a set of team partitions (cheap bitset unions). The engine
+//! part) — times a set of team partitions (cheap word-wise checks). The engine
 //! shards this space across worker threads with a shared claim counter,
 //! cancels all workers as soon as any of them finds a witness, and memoizes
 //! analyses in a cache shared across deciders — [`classify`]
@@ -45,7 +45,7 @@ use crate::classify::{level_to_bound, TypeClassification};
 use crate::discerning::{pairs_disjoint, LevelResult};
 use crate::reach::{Analysis, MAX_PROCESSES};
 use crate::recording::recording_holds;
-use crate::search::{instances, partitions};
+use crate::search::{instances, partitions, team_masks};
 use crate::witness::{Team, Witness};
 use crate::DiskCache;
 use rcn_obs::{MetricsSnapshot, Tracer};
@@ -258,7 +258,7 @@ impl Condition {
         }
     }
 
-    fn holds(self, analysis: &Analysis, u: ValueId, t0: &[usize], t1: &[usize]) -> bool {
+    fn holds(self, analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> bool {
         match self {
             Condition::Recording => recording_holds(analysis, u, t0, t1),
             Condition::Discerning => pairs_disjoint(analysis, t0, t1),
@@ -869,14 +869,7 @@ impl SearchEngine {
         let space: Vec<(ValueId, Vec<OpId>)> =
             instances(ty.num_values(), ty.num_ops(), n).collect();
         let parts: Vec<Vec<Team>> = partitions(n).collect();
-        let teams_of: Vec<(Vec<usize>, Vec<usize>)> = parts
-            .iter()
-            .map(|teams| {
-                let t0 = (0..n).filter(|&i| teams[i] == Team::T0).collect();
-                let t1 = (0..n).filter(|&i| teams[i] == Team::T1).collect();
-                (t0, t1)
-            })
-            .collect();
+        let teams_of: Vec<(u32, u32)> = parts.iter().map(|teams| team_masks(teams)).collect();
 
         let workers = threads.max(1);
         // Intra-analysis parallelism: explicit setting wins; auto borrows
@@ -966,7 +959,7 @@ impl SearchEngine {
                         // Count each instance once, at its first chunk.
                         local_instances += 1;
                     }
-                    for (p, (t0, t1)) in teams_of[lo..hi].iter().enumerate() {
+                    for (p, &(t0, t1)) in teams_of[lo..hi].iter().enumerate() {
                         if local_partitions.is_multiple_of(256) && past_deadline() {
                             deadline_hit.store(true, Ordering::Relaxed);
                             stop.store(true, Ordering::Relaxed);

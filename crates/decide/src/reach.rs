@@ -13,8 +13,10 @@
 //!   reachable after p_j applied)` over the same first-team restriction.
 //!
 //! The analysis is computed once per `(initial value, op assignment)`; team
-//! partitions are then evaluated by cheap bitset unions, which is what makes
-//! the exhaustive witness search feasible.
+//! partitions are then evaluated one 64-bit word at a time, OR-ing the
+//! per-first words of each team on the fly and stopping at the first
+//! overlap, so a partition check allocates nothing. That is what makes the
+//! exhaustive witness search feasible.
 //!
 //! Three implementations share the same pipeline and must stay bit-identical
 //! (the differential suite pins this):
@@ -22,11 +24,15 @@
 //! * [`Analysis::new`] / [`Analysis::with_threads`] — the kernelized path:
 //!   `ObjectType::apply` is hoisted out of the hot loops into per-(process,
 //!   value) transition tables, and `(response, value)`-pair accumulation
-//!   uses whole-word shifted ORs ([`BitSet::union_shifted_with`]) instead of
-//!   bit-at-a-time inserts. With `threads > 1` the mask-order propagation is
-//!   sharded into popcount waves (masks of equal popcount are independent;
-//!   OR-accumulation is commutative), so the result does not depend on the
-//!   thread count.
+//!   uses whole-word shifted ORs (the `or_words` kernel behind
+//!   [`BitSet::union_shifted_with`]) instead of bit-at-a-time inserts. The
+//!   downstream value sets live in one flat arena of `u64` words,
+//!   `num_values.div_ceil(64)` words per node, allocated once per analysis;
+//!   an all-zero slot means the node is unreachable, which is safe because a
+//!   reachable node's downstream set always contains its own value. With
+//!   `threads > 1` the mask-order propagation is sharded into popcount waves
+//!   (masks of equal popcount are independent; OR-accumulation is
+//!   commutative), so the result does not depend on the thread count.
 //! * [`Analysis::extend`] — the incremental path: a level-`n+1` instance
 //!   whose op multiset extends a level-`n` instance reuses the prefix's
 //!   `firsts` labels (the level-`n` node lattice embeds as the masks without
@@ -35,7 +41,7 @@
 //! * [`Analysis::new_scalar`] — the original bit-at-a-time reference,
 //!   kept as the differential/benchmark baseline.
 
-use crate::bitset::BitSet;
+use crate::bitset::{or_words, BitSet};
 use rcn_spec::{ObjectType, OpId, ValueId};
 use serde::{Deserialize, Serialize};
 
@@ -112,20 +118,24 @@ impl Tables {
         for op in ops {
             assert!(op.index() < ty.num_ops(), "op out of range");
         }
+        // The pair kernel ORs a downstream slot at `response * num_values`
+        // unchecked, so a transition out of the type's ranges is refused here.
+        let transition = |v: ValueId, op: OpId| {
+            let out = ty.apply(v, op);
+            let edge = (out.response.index(), out.next.index());
+            assert!(
+                edge.0 < num_responses && edge.1 < num_values,
+                "transition out of range"
+            );
+            edge
+        };
         let mut step = Vec::with_capacity(n * num_values);
         for &op in ops {
             for v in 0..num_values {
-                let out = ty.apply(ValueId(v as u16), op);
-                step.push((out.response.index(), out.next.index()));
+                step.push(transition(ValueId(v as u16), op));
             }
         }
-        let root = ops
-            .iter()
-            .map(|&op| {
-                let out = ty.apply(u, op);
-                (out.response.index(), out.next.index())
-            })
-            .collect();
+        let root = ops.iter().map(|&op| transition(u, op)).collect();
         Tables {
             n,
             num_values,
@@ -141,6 +151,28 @@ impl Tables {
 
     fn num_nodes(&self) -> usize {
         (1usize << self.n) * self.num_values
+    }
+
+    /// The processes not in `mask` — the ones that can still apply.
+    fn absent(&self, mask: u32) -> Bits {
+        Bits(!mask & ((1 << self.n) - 1))
+    }
+}
+
+/// Iterates the set bits of a process bitmask (lowest first), with one
+/// `trailing_zeros` per member rather than one probe per process.
+struct Bits(u32);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let i = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(i)
     }
 }
 
@@ -169,10 +201,7 @@ fn firsts_from_scratch(t: &Tables) -> Vec<u32> {
             if label == 0 {
                 continue;
             }
-            for j in 0..t.n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
+            for j in t.absent(mask) {
                 let (_, next) = t.step[j * nv + v];
                 firsts[t.node(mask | (1 << j), next)] |= label;
             }
@@ -206,10 +235,7 @@ fn firsts_extended(t: &Tables, prefix_firsts: &[u32]) -> Vec<u32> {
                 let (_, next) = t.step[m * nv + v];
                 firsts[t.node(mask | (1 << m), next)] |= label;
             } else {
-                for j in 0..n {
-                    if mask & (1 << j) != 0 {
-                        continue;
-                    }
+                for j in t.absent(mask) {
                     let (_, next) = t.step[j * nv + v];
                     firsts[t.node(mask | (1 << j), next)] |= label;
                 }
@@ -242,10 +268,7 @@ fn firsts_parallel(t: &Tables, threads: usize) -> Vec<u32> {
                             if label == 0 {
                                 continue;
                             }
-                            for j in 0..t.n {
-                                if mask & (1 << j) != 0 {
-                                    continue;
-                                }
+                            for j in t.absent(mask) {
                                 let (_, next) = t.step[j * nv + v];
                                 firsts[t.node(mask | (1 << j), next)]
                                     .fetch_or(label, Ordering::Relaxed);
@@ -259,65 +282,101 @@ fn firsts_parallel(t: &Tables, threads: usize) -> Vec<u32> {
     firsts.into_iter().map(AtomicU32::into_inner).collect()
 }
 
-/// The downstream value set of one node: its own value plus the downstream
-/// sets of its children (which the caller has already computed — decreasing
-/// mask order, or a completed higher-popcount wave).
-fn downstream_of(t: &Tables, downstream: &[Option<BitSet>], mask: u32, v: usize) -> BitSet {
-    let nv = t.num_values;
-    let mut set = BitSet::new(nv);
-    set.insert(v);
-    for j in 0..t.n {
-        if mask & (1 << j) != 0 {
-            continue;
-        }
-        let (_, next) = t.step[j * nv + v];
-        if let Some(ds) = &downstream[t.node(mask | (1 << j), next)] {
-            set.union_with(ds);
+/// The flat downstream arena: `words` per node (`num_values.div_ceil(64)`),
+/// node `id` at `arena[id * words..(id + 1) * words]`, holding the values
+/// reachable from the node including its own. An all-zero slot means the
+/// node is unreachable — safe because a reachable node's slot always
+/// contains its own value, so it is never all-zero.
+struct Downstream {
+    words: usize,
+    arena: Vec<u64>,
+}
+
+impl Downstream {
+    fn new(t: &Tables) -> Downstream {
+        let words = t.num_values.div_ceil(64);
+        Downstream {
+            words,
+            arena: vec![0; t.num_nodes() * words],
         }
     }
-    set
+
+    /// The downstream value words of node `id` (all zero if unreachable).
+    fn slot(&self, id: usize) -> &[u64] {
+        &self.arena[id * self.words..(id + 1) * self.words]
+    }
+}
+
+/// Writes the downstream value set of node `(mask, v)` into `out` (zeroed
+/// by the caller): its own value plus the downstream sets of its children,
+/// which the caller has already computed (decreasing mask order, or a
+/// completed higher-popcount wave). `children` is the arena from node
+/// `first_child` on — every child of `(mask, v)` has a larger mask, so the
+/// sequential pass can borrow the node's own slot mutably alongside it.
+fn downstream_into(
+    t: &Tables,
+    children: &[u64],
+    first_child: usize,
+    mask: u32,
+    v: usize,
+    out: &mut [u64],
+) {
+    let nv = t.num_values;
+    let words = out.len();
+    out[v / 64] |= 1 << (v % 64);
+    for j in t.absent(mask) {
+        let (_, next) = t.step[j * nv + v];
+        let at = (t.node(mask | (1 << j), next) - first_child) * words;
+        or_words(out, &children[at..at + words], 0);
+    }
 }
 
 /// Sequential downstream pass in decreasing mask order (reverse topological).
-fn downstream_from(t: &Tables, firsts: &[u32]) -> Vec<Option<BitSet>> {
-    let mut downstream: Vec<Option<BitSet>> = vec![None; t.num_nodes()];
+fn downstream_from(t: &Tables, firsts: &[u32]) -> Downstream {
+    let mut ds = Downstream::new(t);
+    let words = ds.words;
     for mask in (1u32..(1 << t.n)).rev() {
         for v in 0..t.num_values {
             let id = t.node(mask, v);
             if firsts[id] == 0 {
                 continue;
             }
-            let set = downstream_of(t, &downstream, mask, v);
-            downstream[id] = Some(set);
+            let (head, children) = ds.arena.split_at_mut((id + 1) * words);
+            downstream_into(t, children, id + 1, mask, v, &mut head[id * words..]);
         }
     }
-    downstream
+    ds
 }
 
 /// Wave-parallel downstream pass, from the highest popcount down. Workers
-/// only read completed waves; each wave's results are joined and written
-/// back single-threaded, so every node is written exactly once.
-fn downstream_parallel(t: &Tables, firsts: &[u32], threads: usize) -> Vec<Option<BitSet>> {
-    let mut downstream: Vec<Option<BitSet>> = vec![None; t.num_nodes()];
+/// only read completed waves and write their nodes into one private buffer
+/// each; each wave's buffers are copied back single-threaded, so every
+/// node is written exactly once.
+fn downstream_parallel(t: &Tables, firsts: &[u32], threads: usize) -> Downstream {
+    let mut ds = Downstream::new(t);
+    let words = ds.words;
     let waves = masks_by_popcount(t.n);
     for k in (1..=t.n).rev() {
         let wave = &waves[k];
-        let computed: Vec<Vec<(usize, BitSet)>> = std::thread::scope(|s| {
+        let computed: Vec<(Vec<usize>, Vec<u64>)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..threads)
                 .map(|w| {
-                    let downstream = &downstream;
+                    let arena = &ds.arena;
                     s.spawn(move || {
-                        let mut out = Vec::new();
+                        let (mut ids, mut out) = (Vec::new(), Vec::new());
                         for &mask in wave.iter().skip(w).step_by(threads) {
                             for v in 0..t.num_values {
                                 let id = t.node(mask, v);
                                 if firsts[id] == 0 {
                                     continue;
                                 }
-                                out.push((id, downstream_of(t, downstream, mask, v)));
+                                ids.push(id);
+                                out.resize(out.len() + words, 0);
+                                let at = out.len() - words;
+                                downstream_into(t, arena, 0, mask, v, &mut out[at..]);
                             }
                         }
-                        out
+                        (ids, out)
                     })
                 })
                 .collect();
@@ -326,24 +385,24 @@ fn downstream_parallel(t: &Tables, firsts: &[u32], threads: usize) -> Vec<Option
                 .map(|h| h.join().expect("downstream worker panicked"))
                 .collect()
         });
-        for chunk in computed {
-            for (id, set) in chunk {
-                downstream[id] = Some(set);
+        for (ids, out) in computed {
+            for (&id, slot) in ids.iter().zip(out.chunks_exact(words)) {
+                ds.arena[id * words..(id + 1) * words].copy_from_slice(slot);
             }
         }
     }
-    downstream
+    ds
 }
 
 /// Accumulates the per-first value/pair sets contributed by `masks`. The
-/// pair kernel: a node's downstream value set, shifted by
-/// `response * num_values`, is exactly the block of `(response, value)`
+/// pair kernel: a node's downstream value words, shifted by
+/// `response * num_values`, are exactly the block of `(response, value)`
 /// pairs process `j` contributes — one whole-word OR per (node, j, first)
 /// instead of one insert per pair.
 fn accumulate_masks<I: Iterator<Item = u32>>(
     t: &Tables,
     firsts: &[u32],
-    downstream: &[Option<BitSet>],
+    ds: &Downstream,
     masks: I,
 ) -> (Vec<BitSet>, Vec<BitSet>) {
     let n = t.n;
@@ -357,27 +416,17 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
                 continue;
             }
             // Values of this node belong to U_f for every first f.
-            let mut l = label;
-            while l != 0 {
-                let f = l.trailing_zeros() as usize;
-                l &= l - 1;
+            for f in Bits(label) {
                 value_sets[f].insert(v);
             }
-            // Pairs contributed by each process j applying here.
-            for j in 0..n {
-                if mask & (1 << j) != 0 {
-                    continue;
-                }
+            // Pairs contributed by each process j applying here. The child
+            // of a reachable node is reachable, so its slot is never empty.
+            for j in t.absent(mask) {
                 let (resp, next) = t.step[j * nv + v];
-                let Some(ds) = &downstream[t.node(mask | (1 << j), next)] else {
-                    continue;
-                };
+                let slot = ds.slot(t.node(mask | (1 << j), next));
                 let shift = resp * nv;
-                let mut l = label;
-                while l != 0 {
-                    let f = l.trailing_zeros() as usize;
-                    l &= l - 1;
-                    pair_sets[f * n + j].union_shifted_with(ds, shift);
+                for f in Bits(label) {
+                    pair_sets[f * n + j].or_words(slot, shift);
                 }
             }
         }
@@ -391,7 +440,7 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
 fn accumulate_parallel(
     t: &Tables,
     firsts: &[u32],
-    downstream: &[Option<BitSet>],
+    ds: &Downstream,
     threads: usize,
 ) -> (Vec<BitSet>, Vec<BitSet>) {
     let parts: Vec<(Vec<BitSet>, Vec<BitSet>)> = std::thread::scope(|s| {
@@ -399,7 +448,7 @@ fn accumulate_parallel(
             .map(|w| {
                 s.spawn(move || {
                     let masks = (1u32..(1 << t.n)).skip(w).step_by(threads);
-                    accumulate_masks(t, firsts, downstream, masks)
+                    accumulate_masks(t, firsts, ds, masks)
                 })
             })
             .collect();
@@ -422,27 +471,25 @@ fn accumulate_parallel(
 }
 
 /// The first application itself: p_f's own pair from the virtual root.
-fn accumulate_root(t: &Tables, downstream: &[Option<BitSet>], pair_sets: &mut [BitSet]) {
+fn accumulate_root(t: &Tables, ds: &Downstream, pair_sets: &mut [BitSet]) {
     for (f, &(resp, next)) in t.root.iter().enumerate() {
-        if let Some(ds) = &downstream[t.node(1 << f, next)] {
-            pair_sets[f * t.n + f].union_shifted_with(ds, resp * t.num_values);
-        }
+        pair_sets[f * t.n + f].or_words(ds.slot(t.node(1 << f, next)), resp * t.num_values);
     }
 }
 
 /// Runs the downstream + accumulation phases over precomputed `firsts` and
 /// assembles the result.
 fn build(t: &Tables, firsts: Vec<u32>, threads: usize) -> Analysis {
-    let (downstream, (value_sets, mut pair_sets)) = if threads <= 1 {
-        let downstream = downstream_from(t, &firsts);
-        let sets = accumulate_masks(t, &firsts, &downstream, 1u32..(1 << t.n));
-        (downstream, sets)
+    let (ds, (value_sets, mut pair_sets)) = if threads <= 1 {
+        let ds = downstream_from(t, &firsts);
+        let sets = accumulate_masks(t, &firsts, &ds, 1u32..(1 << t.n));
+        (ds, sets)
     } else {
-        let downstream = downstream_parallel(t, &firsts, threads);
-        let sets = accumulate_parallel(t, &firsts, &downstream, threads);
-        (downstream, sets)
+        let ds = downstream_parallel(t, &firsts, threads);
+        let sets = accumulate_parallel(t, &firsts, &ds, threads);
+        (ds, sets)
     };
-    accumulate_root(t, &downstream, &mut pair_sets);
+    accumulate_root(t, &ds, &mut pair_sets);
     Analysis {
         n: t.n,
         num_values: t.num_values,
@@ -672,6 +719,29 @@ impl Analysis {
         }
     }
 
+    /// An analysis holding the given per-first sets and no reachability
+    /// labels: input for tests of the partition checks, which read only
+    /// the sets. `pair_sets` is indexed `f * n + j`, `n = value_sets.len()`.
+    #[cfg(test)]
+    pub(crate) fn from_sets(
+        num_values: usize,
+        num_responses: usize,
+        value_sets: Vec<BitSet>,
+        pair_sets: Vec<BitSet>,
+    ) -> Analysis {
+        let n = value_sets.len();
+        let analysis = Analysis {
+            n,
+            num_values,
+            num_responses,
+            firsts: vec![0; (1 << n) * num_values],
+            value_sets,
+            pair_sets,
+        };
+        assert!(analysis.shape_matches(n, num_values, num_responses));
+        analysis
+    }
+
     /// Number of processes in the analyzed assignment.
     pub fn n(&self) -> usize {
         self.n
@@ -727,6 +797,30 @@ impl Analysis {
             out.union_with(&self.pair_sets[f * self.n + j]);
         }
         out
+    }
+
+    /// Words per value set (`num_values.div_ceil(64)`).
+    pub(crate) fn value_words(&self) -> usize {
+        self.num_values.div_ceil(64)
+    }
+
+    /// Words per pair set (`(num_responses * num_values).div_ceil(64)`).
+    pub(crate) fn pair_words(&self) -> usize {
+        (self.num_responses * self.num_values).div_ceil(64)
+    }
+
+    /// Word `w` of [`value_set`](Self::value_set) for the team whose
+    /// members are the set bits of `team` — one word of the union, built
+    /// without allocating, so the partition checks can stop at the first
+    /// overlapping word.
+    pub(crate) fn value_word(&self, team: u32, w: usize) -> u64 {
+        Bits(team).fold(0, |acc, f| acc | self.value_sets[f].words()[w])
+    }
+
+    /// Word `w` of [`pair_set`](Self::pair_set)`(team, j)` for the team
+    /// bitmask `team`, as [`value_word`](Self::value_word).
+    pub(crate) fn pair_word(&self, team: u32, j: usize, w: usize) -> u64 {
+        Bits(team).fold(0, |acc, f| acc | self.pair_sets[f * self.n + j].words()[w])
     }
 
     /// Per-first value set (building block of [`value_set`](Self::value_set)).
@@ -917,6 +1011,36 @@ mod tests {
         let tas = TestAndSet::new();
         let prefix = Analysis::new(&tas, ValueId::new(0), &[OpId::new(0); 2]);
         let _ = Analysis::extend(&tas, ValueId::new(0), &prefix, &[OpId::new(0); 4], 1);
+    }
+
+    /// Breaks the `ObjectType` contract: its only op answers with a
+    /// response id one past `num_responses`.
+    struct ResponseOutOfRange;
+
+    impl ObjectType for ResponseOutOfRange {
+        fn name(&self) -> String {
+            "response-out-of-range".into()
+        }
+        fn num_values(&self) -> usize {
+            3
+        }
+        fn num_ops(&self) -> usize {
+            1
+        }
+        fn num_responses(&self) -> usize {
+            2
+        }
+        fn apply(&self, value: ValueId, _op: OpId) -> rcn_spec::Outcome {
+            rcn_spec::Outcome::new(rcn_spec::Response(2), value)
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "transition out of range")]
+    fn out_of_range_transition_is_refused() {
+        // The pair kernel ORs at `response * num_values` unchecked; an
+        // out-of-range response must stop the build, not set stray bits.
+        let _ = Analysis::new(&ResponseOutOfRange, ValueId::new(0), &[OpId::new(0); 2]);
     }
 
     #[test]

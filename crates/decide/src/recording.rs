@@ -19,8 +19,8 @@
 
 use crate::discerning::LevelResult;
 use crate::reach::Analysis;
-use crate::search::{op_multisets, partitions};
-use crate::witness::{Team, Witness, WitnessError};
+use crate::search::{op_multisets, partitions, team_masks};
+use crate::witness::{Witness, WitnessError};
 use rcn_spec::{ObjectType, ValueId};
 
 /// Checks whether a concrete witness establishes that `ty` is
@@ -52,25 +52,24 @@ pub fn check_recording<T: ObjectType + ?Sized>(
 ) -> Result<bool, WitnessError> {
     witness.validate(ty)?;
     let analysis = Analysis::new(ty, witness.initial, &witness.ops);
-    let t0 = witness.team_members(Team::T0);
-    let t1 = witness.team_members(Team::T1);
-    Ok(recording_holds(&analysis, witness.initial, &t0, &t1))
+    let (t0, t1) = team_masks(&witness.team_of);
+    Ok(recording_holds(&analysis, witness.initial, t0, t1))
 }
 
-pub(crate) fn recording_holds(analysis: &Analysis, u: ValueId, t0: &[usize], t1: &[usize]) -> bool {
-    let u0 = analysis.value_set(t0);
-    let u1 = analysis.value_set(t1);
-    if u0.intersects(&u1) {
-        return false;
-    }
-    // Hiding clause: if u ∈ U_x then |T_x̄| = 1.
-    if u0.contains(u.index()) && t1.len() != 1 {
-        return false;
-    }
-    if u1.contains(u.index()) && t0.len() != 1 {
-        return false;
-    }
-    true
+/// `U_0 ∩ U_1 = ∅` plus the hiding clause, for the teams with member
+/// bitmasks `t0`/`t1`. Evaluated one word at a time with the per-first
+/// words OR-ed on the fly, so a partition check allocates nothing and
+/// stops at the first failing word; the `u ∈ U_x` bits are read from the
+/// word holding `u` in the same pass.
+pub(crate) fn recording_holds(analysis: &Analysis, u: ValueId, t0: u32, t1: u32) -> bool {
+    let (uw, ubit) = (u.index() / 64, 1u64 << (u.index() % 64));
+    (0..analysis.value_words()).all(|w| {
+        let a = analysis.value_word(t0, w);
+        let b = analysis.value_word(t1, w);
+        // Hiding clause: if u ∈ U_x then |T_x̄| = 1.
+        let hides = |ux: u64, other: u32| w == uw && ux & ubit != 0 && other.count_ones() != 1;
+        a & b == 0 && !hides(a, t1) && !hides(b, t0)
+    })
 }
 
 /// Searches exhaustively for an `n`-recording witness.
@@ -85,9 +84,8 @@ pub fn find_recording_witness<T: ObjectType + ?Sized>(ty: &T, n: usize) -> Optio
         for ops in op_multisets(ty.num_ops(), n) {
             let analysis = Analysis::new(ty, u, &ops);
             for teams in partitions(n) {
-                let t0: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T0).collect();
-                let t1: Vec<usize> = (0..n).filter(|&i| teams[i] == Team::T1).collect();
-                if recording_holds(&analysis, u, &t0, &t1) {
+                let (t0, t1) = team_masks(&teams);
+                if recording_holds(&analysis, u, t0, t1) {
                     return Some(Witness::new(u, teams, ops));
                 }
             }
@@ -152,9 +150,15 @@ pub fn recording_number<T: ObjectType + ?Sized>(ty: &T, cap: usize) -> LevelResu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::BitSet;
+    use crate::discerning::pairs_disjoint;
+    use crate::synthesis::{random_readable_table, rng};
+    use proptest::prelude::*;
+    use rand::Rng;
     use rcn_spec::zoo::{
         CompareAndSwap, ConsensusObject, Register, StickyBit, TeamCounter, TestAndSet, Tnn,
     };
+    use rcn_spec::OpId;
 
     #[test]
     fn test_and_set_is_not_2_recording() {
@@ -217,6 +221,88 @@ mod tests {
         for n in 2..5 {
             let w = find_recording_witness(&StickyBit::new(), n).expect("witness");
             assert_eq!(check_recording(&StickyBit::new(), &w), Ok(true), "n={n}");
+        }
+    }
+
+    /// Checks the word-at-a-time partition checks against the set-union
+    /// formulation they replace — union each team's per-first sets, then
+    /// intersect — on every partition of `analysis`.
+    fn assert_checks_match_set_union(analysis: &Analysis, u: ValueId) -> TestCaseResult {
+        let n = analysis.n();
+        for teams in partitions(n) {
+            let (t0, t1) = team_masks(&teams);
+            let m0: Vec<usize> = (0..n).filter(|&i| t0 & (1 << i) != 0).collect();
+            let m1: Vec<usize> = (0..n).filter(|&i| t1 & (1 << i) != 0).collect();
+            let disjoint = (0..n).all(|j| {
+                !analysis
+                    .pair_set(&m0, j)
+                    .intersects(&analysis.pair_set(&m1, j))
+            });
+            prop_assert_eq!(pairs_disjoint(analysis, t0, t1), disjoint, "{:?}", teams);
+            let (u0, u1) = (analysis.value_set(&m0), analysis.value_set(&m1));
+            // Hiding clause: if u ∈ U_x then |T_x̄| = 1.
+            let hides = |ux: &BitSet, other: &[usize]| ux.contains(u.index()) && other.len() != 1;
+            let recording = !u0.intersects(&u1) && !hides(&u0, &m1) && !hides(&u1, &m0);
+            prop_assert_eq!(
+                recording_holds(analysis, u, t0, t1),
+                recording,
+                "{:?}",
+                teams
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        /// Analyses of random readable tables, including tables whose sets
+        /// span several words (64, 70 and 130 values).
+        #[test]
+        fn partition_checks_match_set_union_on_random_tables(
+            seed in 0u64..1000,
+            size in 0usize..6,
+            raw_ops in prop::collection::vec(0usize..4, 2..6),
+            raw_u in 0usize..200,
+        ) {
+            let num_values = [2, 3, 5, 64, 70, 130][size];
+            let mutators = 1 + (seed % 3) as usize;
+            let ty = random_readable_table(&mut rng(seed), num_values, mutators);
+            let ops: Vec<OpId> = raw_ops
+                .iter()
+                .map(|&o| OpId((o % ty.num_ops()) as u16))
+                .collect();
+            let u = ValueId((raw_u % num_values) as u16);
+            assert_checks_match_set_union(&Analysis::new(&ty, u, &ops), u)?;
+        }
+
+        /// Sparse random per-first sets, where disjoint teams and the hiding
+        /// clause (`u` planted in a third of the value sets) are common —
+        /// analyses of real types rarely separate the teams at all.
+        #[test]
+        fn partition_checks_match_set_union_on_sparse_sets(
+            seed in 0u64..100_000,
+            n in 2usize..7,
+            size in 0usize..7,
+            num_responses in 1usize..4,
+        ) {
+            let num_values = [1, 2, 5, 63, 64, 65, 130][size];
+            let mut r = rng(seed);
+            let u = ValueId(r.gen_range(0..num_values) as u16);
+            let mut sparse = |capacity: usize, plant: Option<usize>| {
+                let mut set = BitSet::new(capacity);
+                for _ in 0..r.gen_range(0..3) {
+                    set.insert(r.gen_range(0..capacity));
+                }
+                if let Some(e) = plant.filter(|_| r.gen_bool(1.0 / 3.0)) {
+                    set.insert(e);
+                }
+                set
+            };
+            let value_sets = (0..n).map(|_| sparse(num_values, Some(u.index()))).collect();
+            let pair_sets = (0..n * n)
+                .map(|_| sparse(num_responses * num_values, None))
+                .collect();
+            let analysis = Analysis::from_sets(num_values, num_responses, value_sets, pair_sets);
+            assert_checks_match_set_union(&analysis, u)?;
         }
     }
 

@@ -71,10 +71,22 @@ pub(crate) fn partitions(n: usize) -> impl Iterator<Item = Vec<Team>> {
     })
 }
 
+/// The member bitmasks `(T_0, T_1)` of a team assignment: bit `i` is set in
+/// the mask of `p_i`'s team. The partition checks take teams in this form.
+pub(crate) fn team_masks(teams: &[Team]) -> (u32, u32) {
+    teams
+        .iter()
+        .enumerate()
+        .fold((0, 0), |(t0, t1), (i, team)| match team {
+            Team::T0 => (t0 | 1 << i, t1),
+            Team::T1 => (t0, t1 | 1 << i),
+        })
+}
+
 /// Iterates the `(initial value, op multiset)` *instances* of the witness
 /// space — the outer two loops of both deciders, and the unit of work the
 /// parallel engine shards across threads (one [`crate::Analysis`] is built
-/// per instance; partitions are then cheap bitset unions).
+/// per instance; partitions are then cheap word-wise checks).
 pub(crate) fn instances(
     num_values: usize,
     num_ops: usize,
@@ -94,7 +106,9 @@ pub fn search_space_size(num_values: usize, num_ops: usize, n: usize) -> u128 {
     for k in 0..n {
         multisets = multisets * (num_ops + k) as u128 / (k + 1) as u128;
     }
-    num_values as u128 * multisets * ((1u128 << (n - 1)) - 1)
+    // Two nonempty teams need n ≥ 2; n = 0 and n = 1 have no partitions.
+    let partitions = n.checked_sub(1).map_or(0, |m| (1u128 << m) - 1);
+    num_values as u128 * multisets * partitions
 }
 
 #[cfg(test)]
@@ -156,5 +170,25 @@ mod tests {
         // matches the actual iterators:
         let count = 2 * op_multisets(3, 2).count() * partitions(2).count();
         assert_eq!(search_space_size(2, 3, 2), count as u128);
+    }
+
+    #[test]
+    fn space_size_is_zero_below_two_processes() {
+        // No partition of fewer than two processes has two nonempty teams.
+        assert_eq!(search_space_size(2, 3, 0), 0);
+        assert_eq!(search_space_size(2, 3, 1), 0);
+        assert_eq!(partitions(1).count(), 0);
+    }
+
+    #[test]
+    fn team_masks_split_the_processes() {
+        let teams = [Team::T0, Team::T1, Team::T1, Team::T0];
+        assert_eq!(team_masks(&teams), (0b1001, 0b0110));
+        for teams in partitions(5) {
+            let (t0, t1) = team_masks(&teams);
+            assert_eq!(t0 & t1, 0);
+            assert_eq!(t0 | t1, 0b11111);
+            assert_eq!(t0 & 1, 1, "p_0 is on T_0");
+        }
     }
 }

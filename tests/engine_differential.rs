@@ -244,6 +244,85 @@ fn analysis_construction_paths_are_bit_identical_across_zoo() {
     }
 }
 
+/// Every construction path against the scalar reference on one instance:
+/// kernelized, wave-parallel at 2 and 3 threads, and `extend` from the
+/// one-shorter prefix at 1 and 3 threads.
+fn assert_paths_agree(ty: &dyn ObjectType, u: ValueId, ops: &[OpId]) {
+    let ctx = || format!("{} u={} ops={:?}", ty.name(), u.index(), ops);
+    let reference = Analysis::new_scalar(ty, u, ops);
+    assert_eq!(Analysis::new(ty, u, ops), reference, "{}", ctx());
+    for threads in [2, 3] {
+        assert_eq!(
+            Analysis::with_threads(ty, u, ops, threads),
+            reference,
+            "{threads} threads: {}",
+            ctx()
+        );
+    }
+    let prefix = Analysis::new(ty, u, &ops[..ops.len() - 1]);
+    for threads in [1, 3] {
+        assert_eq!(
+            Analysis::extend(ty, u, &prefix, ops, threads),
+            reference,
+            "extend, {threads} threads: {}",
+            ctx()
+        );
+    }
+}
+
+#[test]
+fn analysis_paths_agree_on_multi_word_types() {
+    // More than 64 values: every downstream slot spans 2–3 words, and the
+    // pair universe (`responses × values` bits) is ORed at shifts
+    // `response × values` that cross word boundaries unaligned.
+    let reg = Register::new(70); // 2 words per value set
+    let write = OpId::new;
+    let read = OpId::new(70);
+    let reg_ops = [
+        vec![write(0), write(65)],
+        vec![write(3), write(64), read],
+        vec![write(1), write(63), write(69), read],
+        vec![write(69), write(69), read, read],
+        vec![write(0), write(64), write(64), write(66), read],
+    ];
+    for ops in &reg_ops {
+        for u in [0u16, 1, 63, 64, 69] {
+            assert_paths_agree(&reg, ValueId::new(u), ops);
+        }
+    }
+
+    let faa = FetchAndAdd::new(130); // 3 words per value set
+    for n in 2..=5 {
+        for ops in op_multisets(faa.num_ops(), n) {
+            for u in [0u16, 1, 63, 64, 127, 128, 129] {
+                assert_paths_agree(&faa, ValueId::new(u), &ops);
+            }
+        }
+    }
+}
+
+#[test]
+fn multi_word_types_classify_alike_on_every_engine() {
+    // The word-at-a-time partition checks against the sequential deciders,
+    // on sets that span several words.
+    let faa = FetchAndAdd::new(130);
+    let seq_d = discerning_number(&faa, 3);
+    let seq_r = recording_number(&faa, 3);
+    for threads in [1usize, 2] {
+        let engine = SearchEngine::new(threads);
+        let c = engine.classify(&faa, 3).expect("cap in range");
+        assert_eq!(c.discerning.level, seq_d.level, "{threads} threads");
+        assert_eq!(c.recording.level, seq_r.level, "{threads} threads");
+        if let Some(w) = &c.discerning.witness {
+            assert_eq!(check_discerning(&faa, w), Ok(true), "{threads} threads");
+        }
+        if let Some(w) = &c.recording.witness {
+            assert_eq!(check_recording(&faa, w), Ok(true), "{threads} threads");
+        }
+    }
+    assert_eq!(seq_d.level, 2, "fetch-and-add has consensus number 2");
+}
+
 #[test]
 fn incremental_engine_matches_from_scratch_across_zoo() {
     // Seeding level n+1 analyses from memoized level-n prefixes must not
