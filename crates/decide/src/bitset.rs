@@ -25,6 +25,17 @@ impl BitSet {
         }
     }
 
+    /// The set over `0..capacity` whose word image is `words` (bit `i` is
+    /// bit `i % 64` of word `i / 64`); the caller passes
+    /// `capacity.div_ceil(64)` words with the tail bits clear.
+    pub(crate) fn from_words(words: &[u64], capacity: usize) -> Self {
+        debug_assert_eq!(words.len(), capacity.div_ceil(64), "word count");
+        BitSet {
+            words: words.to_vec(),
+            capacity,
+        }
+    }
+
     /// The capacity this set was created with.
     pub fn capacity(&self) -> usize {
         self.capacity

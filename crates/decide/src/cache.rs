@@ -39,7 +39,7 @@
 //! race.
 
 use crate::engine::SearchEngine;
-use crate::reach::Analysis;
+use crate::reach::{Analysis, MAX_PROCESSES};
 use rcn_obs::Tracer;
 use rcn_spec::{ObjectType, OpId, ValueId};
 use serde::{Deserialize, Serialize};
@@ -607,12 +607,36 @@ struct Slot {
     origin: Origin,
 }
 
+/// The memo key of an instance: `[u, ops…]`. A boxed slice is allocated
+/// only when a key is inserted; lookups borrow a [`stack_key`].
+type MemoKey = Box<[u16]>;
+
+/// Writes the key of `(u, ops)` into a stack buffer; the key is
+/// `&buf[..=ops.len()]`, and `&buf[..ops.len()]` is the key of the
+/// one-shorter prefix.
+///
+/// # Panics
+///
+/// Panics if `ops.len() > MAX_PROCESSES` (no analysis exists for it).
+fn stack_key(u: ValueId, ops: &[OpId]) -> [u16; MAX_PROCESSES + 1] {
+    assert!(
+        ops.len() <= MAX_PROCESSES,
+        "analysis supports at most {MAX_PROCESSES} processes"
+    );
+    let mut buf = [0; MAX_PROCESSES + 1];
+    buf[0] = u.0;
+    for (slot, op) in buf[1..].iter_mut().zip(ops) {
+        *slot = op.0;
+    }
+    buf
+}
+
 /// The per-search-session analysis cache: in-memory memo map, optionally
 /// backed by a [`DiskCache`]. Scoped to one type; `classify` shares one
 /// across both deciders (the second decider's scan hits the memo), and the
 /// disk layer extends that sharing across process lifetimes.
 pub(crate) struct AnalysisStore<'d> {
-    memo: Mutex<HashMap<(u16, Vec<OpId>), Slot>>,
+    memo: Mutex<HashMap<MemoKey, Slot>>,
     disk: Option<(&'d DiskCache, u64)>,
     /// Levels already pulled from disk (so `classify`'s second decider
     /// doesn't re-read the same files).
@@ -646,8 +670,9 @@ impl<'d> AnalysisStore<'d> {
         let loaded = disk.load(ty, fingerprint, n);
         let mut memo = self.memo.lock().expect("analysis memo");
         let mut count = 0usize;
-        for (key, analysis) in loaded {
-            memo.entry(key).or_insert_with(|| {
+        for ((initial, ops), analysis) in loaded {
+            let key = std::iter::once(initial).chain(ops.iter().map(|op| op.0));
+            memo.entry(key.collect()).or_insert_with(|| {
                 count += 1;
                 let cell = Arc::new(OnceLock::new());
                 let _ = cell.set(analysis);
@@ -685,14 +710,22 @@ impl<'d> AnalysisStore<'d> {
         ops: &[OpId],
         threads: usize,
     ) -> Arc<Analysis> {
-        let key = (u.index() as u16, ops.to_vec());
+        let buf = stack_key(u, ops);
+        let key = &buf[..=ops.len()];
         let (cell, origin) = {
             let mut memo = self.memo.lock().expect("analysis memo");
-            let slot = memo.entry(key).or_insert_with(|| Slot {
-                cell: Arc::new(OnceLock::new()),
-                origin: Origin::Fresh,
-            });
-            (Arc::clone(&slot.cell), slot.origin)
+            match memo.get(key) {
+                Some(slot) => (Arc::clone(&slot.cell), slot.origin),
+                None => {
+                    let cell = Arc::new(OnceLock::new());
+                    let slot = Slot {
+                        cell: Arc::clone(&cell),
+                        origin: Origin::Fresh,
+                    };
+                    memo.insert(key.into(), slot);
+                    (cell, Origin::Fresh)
+                }
+            }
         };
         // Initialize outside the map lock so distinct instances build in
         // parallel; OnceLock serializes same-instance workers.
@@ -701,7 +734,7 @@ impl<'d> AnalysisStore<'d> {
         let analysis = cell.get_or_init(|| {
             computed = true;
             let prefix = if engine.incremental() {
-                self.memoized_prefix(u, ops)
+                self.memoized_prefix(key)
             } else {
                 None
             };
@@ -741,36 +774,46 @@ impl<'d> AnalysisStore<'d> {
         Arc::clone(analysis)
     }
 
-    /// The already-completed analysis of `(u, ops[..len - 1])`, if any.
-    /// A sorted op multiset's prefix is itself a valid instance of the
-    /// previous level, which is what makes the lookup key meaningful.
-    /// Never blocks on an in-flight prefix computation — waiting would
-    /// serialize workers on the memo instead of accelerating them.
-    fn memoized_prefix(&self, u: ValueId, ops: &[OpId]) -> Option<Arc<Analysis>> {
-        if ops.len() < 2 {
+    /// The already-completed analysis of `(u, ops[..len - 1])`, given the
+    /// key `[u, ops…]` of `(u, ops)`, if any. A sorted op multiset's prefix
+    /// is itself a valid instance of the previous level, which is what
+    /// makes the lookup key meaningful. Never blocks on an in-flight prefix
+    /// computation — waiting would serialize workers on the memo instead of
+    /// accelerating them.
+    fn memoized_prefix(&self, key: &[u16]) -> Option<Arc<Analysis>> {
+        if key.len() < 3 {
             return None;
         }
-        let key = (u.index() as u16, ops[..ops.len() - 1].to_vec());
         let memo = self.memo.lock().expect("analysis memo");
-        memo.get(&key).and_then(|slot| slot.cell.get().cloned())
+        memo.get(&key[..key.len() - 1])
+            .and_then(|slot| slot.cell.get().cloned())
     }
 
     /// Writes the level-`n` portion of the memo back to disk if the session
-    /// produced analyses not yet persisted. Counts newly persisted entries
-    /// into the engine's `disk_entries_written` stat. A no-op without a
-    /// disk cache.
+    /// produced analyses not yet persisted. Entries are written sorted by
+    /// `(initial, ops)`, so the same memo always produces the same bytes.
+    /// Counts newly persisted entries into the engine's
+    /// `disk_entries_written` stat. A no-op without a disk cache.
     pub(crate) fn flush_level(&self, engine: &SearchEngine, n: usize) {
         let Some((disk, fingerprint)) = self.disk else {
             return;
         };
         let entries: Vec<(u16, Vec<OpId>, Arc<Analysis>)> = {
             let memo = self.memo.lock().expect("analysis memo");
-            memo.iter()
-                .filter(|((_, ops), _)| ops.len() == n)
-                .filter_map(|((initial, ops), slot)| {
-                    slot.cell
-                        .get()
-                        .map(|a| (*initial, ops.clone(), Arc::clone(a)))
+            let mut keyed: Vec<(&[u16], &Arc<Analysis>)> = memo
+                .iter()
+                .filter(|(key, _)| key.len() == n + 1)
+                .filter_map(|(key, slot)| slot.cell.get().map(|a| (&key[..], a)))
+                .collect();
+            keyed.sort_unstable_by_key(|&(key, _)| key);
+            keyed
+                .into_iter()
+                .map(|(key, a)| {
+                    (
+                        key[0],
+                        key[1..].iter().map(|&op| OpId(op)).collect(),
+                        Arc::clone(a),
+                    )
                 })
                 .collect()
         };

@@ -40,10 +40,18 @@
 //!   point), so only edges involving the new process are propagated.
 //! * [`Analysis::new_scalar`] — the original bit-at-a-time reference,
 //!   kept as the differential/benchmark baseline.
+//!
+//! The results are word arenas too, one per family: the `U_f` value sets
+//! are `n` rows of `num_values.div_ceil(64)` words (row `f`), the `R_{f,j}`
+//! pair sets `n²` rows of `(num_responses * num_values).div_ceil(64)` words
+//! (row `f * n + j`). An analysis is therefore three heap blocks however
+//! large `n` is, and the partition checks read a team's word as the OR of
+//! one word per member. Only the cache's wire format still spells each row
+//! out as a [`BitSet`], so files are unchanged.
 
 use crate::bitset::{or_words, BitSet};
 use rcn_spec::{ObjectType, OpId, ValueId};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Maximum number of processes the analysis supports (masks are `u32`).
 pub const MAX_PROCESSES: usize = 20;
@@ -69,7 +77,7 @@ pub const MAX_PROCESSES: usize = 20;
 /// Analyses serialize (for the persistent analysis cache); a deserialized
 /// analysis must pass [`shape_matches`](Self::shape_matches) before the
 /// deciders may trust it.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Analysis {
     n: usize,
     num_values: usize,
@@ -79,13 +87,101 @@ pub struct Analysis {
     /// (0 = unreachable). Persisted so a cached level-`n` analysis can seed
     /// [`extend`](Self::extend) for level `n + 1`.
     firsts: Vec<u32>,
-    /// `value_sets[f]`: values reachable over schedules whose first process
-    /// is `p_f` (the per-first building block of the `U_x` sets).
+    /// The value-set arena: row `f` (words `f * value_words()` up to
+    /// `(f + 1) * value_words()`) holds the values reachable over schedules
+    /// whose first process is `p_f` — the per-first building block of the
+    /// `U_x` sets. Bits at or above `num_values` are clear in every row.
+    value_sets: Vec<u64>,
+    /// The pair-set arena: row `f * n + j` (`pair_words()` words each)
+    /// holds the `(response, value)` pairs of `p_j`, as bit
+    /// `response * num_values + value`, over schedules whose first process
+    /// is `p_f` and that contain `p_j` — the per-first building block of
+    /// the `R_{x,j}` sets. Bits at or above `num_responses * num_values`
+    /// are clear in every row.
+    pair_sets: Vec<u64>,
+}
+
+/// The serialized shape of an [`Analysis`]: every per-first set spelled out
+/// as a [`BitSet`] row, in the field order cache files have always used
+/// (`CACHE_FORMAT_VERSION` 2).
+#[derive(Serialize, Deserialize)]
+struct AnalysisWire {
+    n: usize,
+    num_values: usize,
+    num_responses: usize,
+    firsts: Vec<u32>,
     value_sets: Vec<BitSet>,
-    /// `pair_sets[f * n + j]`: `(response, value)` pairs of `p_j` over
-    /// schedules whose first process is `p_f` and that contain `p_j` (the
-    /// per-first building block of the `R_{x,j}` sets).
     pair_sets: Vec<BitSet>,
+}
+
+impl Serialize for Analysis {
+    fn to_value(&self) -> Value {
+        AnalysisWire {
+            n: self.n,
+            num_values: self.num_values,
+            num_responses: self.num_responses,
+            firsts: self.firsts.clone(),
+            value_sets: rows_of(&self.value_sets, self.n, self.num_values),
+            pair_sets: rows_of(
+                &self.pair_sets,
+                self.n * self.n,
+                self.num_responses * self.num_values,
+            ),
+        }
+        .to_value()
+    }
+}
+
+impl Deserialize for Analysis {
+    /// Fails only where the JSON does not have the wire shape. Rows that
+    /// parse but do not fit the declared dimensions still deserialize, into
+    /// an analysis that fails [`Analysis::shape_matches`], so the cache
+    /// skips that one entry rather than the whole file.
+    fn from_value(value: &Value) -> Result<Self, serde::Error> {
+        let wire = AnalysisWire::from_value(value)?;
+        let pair_capacity = wire.num_responses.checked_mul(wire.num_values);
+        Ok(Analysis {
+            value_sets: arena_of(&wire.value_sets, wire.num_values).unwrap_or_default(),
+            pair_sets: pair_capacity
+                .and_then(|capacity| arena_of(&wire.pair_sets, capacity))
+                .unwrap_or_default(),
+            n: wire.n,
+            num_values: wire.num_values,
+            num_responses: wire.num_responses,
+            firsts: wire.firsts,
+        })
+    }
+}
+
+/// Concatenates `rows` into one arena, or `None` if some row is not a
+/// well-formed set of exactly `capacity` bits (the arena has no room to
+/// record a row's own capacity). A `None` becomes an empty arena on the
+/// way in, which [`Analysis::shape_matches`] rejects: it requires at least
+/// one process, value and response, so every arena has at least one word.
+fn arena_of(rows: &[BitSet], capacity: usize) -> Option<Vec<u64>> {
+    rows.iter()
+        .all(|row| row.capacity() == capacity && row.is_well_formed())
+        .then(|| rows.iter().flat_map(|row| row.words()).copied().collect())
+}
+
+/// Splits an arena of `count` rows of `capacity` bits back into sets.
+fn rows_of(arena: &[u64], count: usize, capacity: usize) -> Vec<BitSet> {
+    let words = capacity.div_ceil(64);
+    (0..count)
+        .map(|r| BitSet::from_words(&arena[r * words..(r + 1) * words], capacity))
+        .collect()
+}
+
+/// `true` if `arena` is exactly `rows` rows of `capacity` bits with every
+/// bit at or above `capacity` clear.
+fn arena_is_well_formed(arena: &[u64], rows: usize, capacity: usize) -> bool {
+    let words = capacity.div_ceil(64);
+    let tail = capacity % 64;
+    arena.len() == rows * words
+        && (tail == 0
+            || arena
+                .chunks_exact(words)
+                .all(|row| row[words - 1] >> tail == 0))
 }
 
 /// Precomputed per-(process, value) transitions of one instance. The hot
@@ -97,12 +193,11 @@ struct Tables {
     n: usize,
     num_values: usize,
     num_responses: usize,
+    /// The initial value's index.
+    u: usize,
     /// `step[j * num_values + v]` = (response index, next-value index) of
     /// process `j`'s op applied at value `v`.
     step: Vec<(usize, usize)>,
-    /// `root[j]` = (response, next) of process `j`'s op applied at the
-    /// initial value.
-    root: Vec<(usize, usize)>,
 }
 
 impl Tables {
@@ -135,14 +230,28 @@ impl Tables {
                 step.push(transition(ValueId(v as u16), op));
             }
         }
-        let root = ops.iter().map(|&op| transition(u, op)).collect();
         Tables {
             n,
             num_values,
             num_responses,
+            u: u.index(),
             step,
-            root,
         }
+    }
+
+    /// (response, next) of process `j`'s op applied at the initial value.
+    fn root(&self, j: usize) -> (usize, usize) {
+        self.step[j * self.num_values + self.u]
+    }
+
+    /// Words per value-set row.
+    fn value_words(&self) -> usize {
+        self.num_values.div_ceil(64)
+    }
+
+    /// Words per pair-set row.
+    fn pair_words(&self) -> usize {
+        (self.num_responses * self.num_values).div_ceil(64)
     }
 
     fn node(&self, mask: u32, v: usize) -> usize {
@@ -192,8 +301,8 @@ fn masks_by_popcount(n: usize) -> Vec<Vec<u32>> {
 fn firsts_from_scratch(t: &Tables) -> Vec<u32> {
     let nv = t.num_values;
     let mut firsts = vec![0u32; t.num_nodes()];
-    for (f, &(_, next)) in t.root.iter().enumerate() {
-        firsts[t.node(1 << f, next)] |= 1 << f;
+    for f in 0..t.n {
+        firsts[t.node(1 << f, t.root(f).1)] |= 1 << f;
     }
     for mask in 1u32..(1 << t.n) {
         for v in 0..nv {
@@ -220,8 +329,7 @@ fn firsts_extended(t: &Tables, prefix_firsts: &[u32]) -> Vec<u32> {
     let nv = t.num_values;
     let mut firsts = vec![0u32; t.num_nodes()];
     firsts[..(1usize << m) * nv].copy_from_slice(prefix_firsts);
-    let (_, next) = t.root[m];
-    firsts[t.node(1 << m, next)] |= 1 << m;
+    firsts[t.node(1 << m, t.root(m).1)] |= 1 << m;
     for mask in 1u32..(1 << n) {
         let lower = mask & (1 << m) == 0;
         for v in 0..nv {
@@ -253,8 +361,8 @@ fn firsts_parallel(t: &Tables, threads: usize) -> Vec<u32> {
     use std::sync::atomic::{AtomicU32, Ordering};
     let nv = t.num_values;
     let firsts: Vec<AtomicU32> = (0..t.num_nodes()).map(|_| AtomicU32::new(0)).collect();
-    for (f, &(_, next)) in t.root.iter().enumerate() {
-        firsts[t.node(1 << f, next)].fetch_or(1 << f, Ordering::Relaxed);
+    for f in 0..t.n {
+        firsts[t.node(1 << f, t.root(f).1)].fetch_or(1 << f, Ordering::Relaxed);
     }
     let waves = masks_by_popcount(t.n);
     for wave in &waves[1..t.n] {
@@ -394,6 +502,10 @@ fn downstream_parallel(t: &Tables, firsts: &[u32], threads: usize) -> Downstream
     ds
 }
 
+/// The two result arenas (see [`Analysis`]): `value` is `n` rows of
+/// `value_words()` words, `pair` is `n²` rows of `pair_words()` words.
+type Arenas = (Vec<u64>, Vec<u64>);
+
 /// Accumulates the per-first value/pair sets contributed by `masks`. The
 /// pair kernel: a node's downstream value words, shifted by
 /// `response * num_values`, are exactly the block of `(response, value)`
@@ -404,11 +516,12 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
     firsts: &[u32],
     ds: &Downstream,
     masks: I,
-) -> (Vec<BitSet>, Vec<BitSet>) {
+) -> Arenas {
     let n = t.n;
     let nv = t.num_values;
-    let mut value_sets = vec![BitSet::new(nv); n];
-    let mut pair_sets = vec![BitSet::new(t.num_responses * nv); n * n];
+    let (vw, pw) = (t.value_words(), t.pair_words());
+    let mut value_sets = vec![0u64; n * vw];
+    let mut pair_sets = vec![0u64; n * n * pw];
     for mask in masks {
         for v in 0..nv {
             let label = firsts[t.node(mask, v)];
@@ -417,7 +530,7 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
             }
             // Values of this node belong to U_f for every first f.
             for f in Bits(label) {
-                value_sets[f].insert(v);
+                value_sets[f * vw + v / 64] |= 1 << (v % 64);
             }
             // Pairs contributed by each process j applying here. The child
             // of a reachable node is reachable, so its slot is never empty.
@@ -426,7 +539,8 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
                 let slot = ds.slot(t.node(mask | (1 << j), next));
                 let shift = resp * nv;
                 for f in Bits(label) {
-                    pair_sets[f * n + j].or_words(slot, shift);
+                    let row = (f * n + j) * pw;
+                    or_words(&mut pair_sets[row..row + pw], slot, shift);
                 }
             }
         }
@@ -434,16 +548,11 @@ fn accumulate_masks<I: Iterator<Item = u32>>(
     (value_sets, pair_sets)
 }
 
-/// Parallel accumulation: masks strided across workers into private sets,
-/// merged by plain unions (commutative, so thread count cannot change the
-/// result).
-fn accumulate_parallel(
-    t: &Tables,
-    firsts: &[u32],
-    ds: &Downstream,
-    threads: usize,
-) -> (Vec<BitSet>, Vec<BitSet>) {
-    let parts: Vec<(Vec<BitSet>, Vec<BitSet>)> = std::thread::scope(|s| {
+/// Parallel accumulation: masks strided across workers into private
+/// arenas, merged by whole-arena ORs (commutative, so thread count cannot
+/// change the result).
+fn accumulate_parallel(t: &Tables, firsts: &[u32], ds: &Downstream, threads: usize) -> Arenas {
+    let parts: Vec<Arenas> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|w| {
                 s.spawn(move || {
@@ -460,20 +569,23 @@ fn accumulate_parallel(
     let mut parts = parts.into_iter();
     let (mut value_sets, mut pair_sets) = parts.next().expect("at least one worker");
     for (vs, ps) in parts {
-        for (a, b) in value_sets.iter_mut().zip(&vs) {
-            a.union_with(b);
-        }
-        for (a, b) in pair_sets.iter_mut().zip(&ps) {
-            a.union_with(b);
-        }
+        or_words(&mut value_sets, &vs, 0);
+        or_words(&mut pair_sets, &ps, 0);
     }
     (value_sets, pair_sets)
 }
 
 /// The first application itself: p_f's own pair from the virtual root.
-fn accumulate_root(t: &Tables, ds: &Downstream, pair_sets: &mut [BitSet]) {
-    for (f, &(resp, next)) in t.root.iter().enumerate() {
-        pair_sets[f * t.n + f].or_words(ds.slot(t.node(1 << f, next)), resp * t.num_values);
+fn accumulate_root(t: &Tables, ds: &Downstream, pair_sets: &mut [u64]) {
+    let pw = t.pair_words();
+    for f in 0..t.n {
+        let (resp, next) = t.root(f);
+        let row = (f * t.n + f) * pw;
+        or_words(
+            &mut pair_sets[row..row + pw],
+            ds.slot(t.node(1 << f, next)),
+            resp * t.num_values,
+        );
     }
 }
 
@@ -576,10 +688,7 @@ impl Analysis {
             "prefix response count disagrees with the type"
         );
         debug_assert!(
-            t.root[..prefix.n]
-                .iter()
-                .enumerate()
-                .all(|(f, &(_, next))| prefix.firsts[t.node(1 << f, next)] & (1 << f) != 0),
+            (0..prefix.n).all(|f| prefix.firsts[t.node(1 << f, t.root(f).1)] & (1 << f) != 0),
             "prefix analysis is not an analysis of (u, ops[..n-1])"
         );
         let firsts = firsts_extended(&t, &prefix.firsts);
@@ -714,8 +823,8 @@ impl Analysis {
             num_values,
             num_responses,
             firsts,
-            value_sets,
-            pair_sets,
+            value_sets: arena_of(&value_sets, num_values).expect("value rows fit"),
+            pair_sets: arena_of(&pair_sets, num_responses * num_values).expect("pair rows fit"),
         }
     }
 
@@ -735,8 +844,8 @@ impl Analysis {
             num_values,
             num_responses,
             firsts: vec![0; (1 << n) * num_values],
-            value_sets,
-            pair_sets,
+            value_sets: arena_of(&value_sets, num_values).expect("value rows fit"),
+            pair_sets: arena_of(&pair_sets, num_responses * num_values).expect("pair rows fit"),
         };
         assert!(analysis.shape_matches(n, num_values, num_responses));
         analysis
@@ -749,30 +858,37 @@ impl Analysis {
 
     /// Checks that this analysis has exactly the shape an analysis of an
     /// `n`-process instance of a type with `num_values` values and
-    /// `num_responses` responses must have — dimensions, set counts, bitset
-    /// well-formedness, and reachability-label sanity (every `firsts` label
-    /// is a subset of the `n` process bits, and the empty-mask row is
-    /// unreachable). Used to validate analyses loaded from the on-disk
-    /// cache before the deciders trust them; always true for analyses built
-    /// by [`Analysis::new`].
+    /// `num_responses` responses must have — dimensions, arena sizes, no
+    /// bit set beyond a row's capacity, and reachability-label sanity
+    /// (every `firsts` label is a subset of the `n` process bits, and the
+    /// empty-mask row is unreachable). Used to validate analyses loaded
+    /// from the on-disk cache before the deciders trust them; always true
+    /// for analyses built by [`Analysis::new`].
     pub fn shape_matches(&self, n: usize, num_values: usize, num_responses: usize) -> bool {
         self.n == n
             && (1..=MAX_PROCESSES).contains(&n)
             && self.num_values == num_values
             && self.num_responses == num_responses
+            && num_values >= 1
+            && num_responses >= 1
             && self.firsts.len() == (1usize << n) * num_values
             && self.firsts.iter().all(|&l| u64::from(l) < (1u64 << n))
             && self.firsts[..num_values].iter().all(|&l| l == 0)
-            && self.value_sets.len() == n
-            && self
-                .value_sets
-                .iter()
-                .all(|s| s.capacity() == num_values && s.is_well_formed())
-            && self.pair_sets.len() == n * n
-            && self
-                .pair_sets
-                .iter()
-                .all(|s| s.capacity() == num_responses * num_values && s.is_well_formed())
+            && arena_is_well_formed(&self.value_sets, n, num_values)
+            && arena_is_well_formed(&self.pair_sets, n * n, num_responses * num_values)
+    }
+
+    /// Value-set row `f` (the values reachable when `p_f` applies first).
+    fn value_row(&self, f: usize) -> &[u64] {
+        let w = self.value_words();
+        &self.value_sets[f * w..(f + 1) * w]
+    }
+
+    /// Pair-set row `(f, j)`.
+    fn pair_row(&self, f: usize, j: usize) -> &[u64] {
+        let w = self.pair_words();
+        let row = f * self.n + j;
+        &self.pair_sets[row * w..(row + 1) * w]
     }
 
     /// The `U`-style value set for a team: all values reachable over
@@ -780,7 +896,7 @@ impl Analysis {
     pub fn value_set(&self, team: &[usize]) -> BitSet {
         let mut out = BitSet::new(self.num_values);
         for &f in team {
-            out.union_with(&self.value_sets[f]);
+            out.or_words(self.value_row(f), 0);
         }
         out
     }
@@ -788,13 +904,9 @@ impl Analysis {
     /// The `R_{x,j}`-style pair set: `(response, value)` pairs of `p_j` over
     /// schedules containing `p_j` whose first process is in `team`.
     pub fn pair_set(&self, team: &[usize], j: usize) -> BitSet {
-        // Capacity is the pair-universe size, not something to infer from an
-        // arbitrary stored set (indexing `pair_sets[j]` happened to alias
-        // `pair_sets[0 * n + j]`, which has the right capacity only because
-        // all rows share it).
         let mut out = BitSet::new(self.num_responses * self.num_values);
         for &f in team {
-            out.union_with(&self.pair_sets[f * self.n + j]);
+            out.or_words(self.pair_row(f, j), 0);
         }
         out
     }
@@ -810,27 +922,21 @@ impl Analysis {
     }
 
     /// Word `w` of [`value_set`](Self::value_set) for the team whose
-    /// members are the set bits of `team` — one word of the union, built
-    /// without allocating, so the partition checks can stop at the first
-    /// overlapping word.
+    /// members are the set bits of `team` — one word of the union, read
+    /// straight from the arena without allocating, so the partition checks
+    /// can stop at the first overlapping word.
     pub(crate) fn value_word(&self, team: u32, w: usize) -> u64 {
-        Bits(team).fold(0, |acc, f| acc | self.value_sets[f].words()[w])
+        let words = self.value_words();
+        Bits(team).fold(0, |acc, f| acc | self.value_sets[f * words + w])
     }
 
     /// Word `w` of [`pair_set`](Self::pair_set)`(team, j)` for the team
     /// bitmask `team`, as [`value_word`](Self::value_word).
     pub(crate) fn pair_word(&self, team: u32, j: usize, w: usize) -> u64 {
-        Bits(team).fold(0, |acc, f| acc | self.pair_sets[f * self.n + j].words()[w])
-    }
-
-    /// Per-first value set (building block of [`value_set`](Self::value_set)).
-    pub fn value_set_of_first(&self, f: usize) -> &BitSet {
-        &self.value_sets[f]
-    }
-
-    /// Per-first pair set (building block of [`pair_set`](Self::pair_set)).
-    pub fn pair_set_of_first(&self, f: usize, j: usize) -> &BitSet {
-        &self.pair_sets[f * self.n + j]
+        let words = self.pair_words();
+        Bits(team).fold(0, |acc, f| {
+            acc | self.pair_sets[(f * self.n + j) * words + w]
+        })
     }
 }
 
@@ -1060,6 +1166,109 @@ mod tests {
         let mut rooted = a.clone();
         rooted.firsts[0] = 1; // empty mask must stay unreachable
         assert!(!rooted.shape_matches(2, 2, 2));
+
+        // The result arenas: one word per value row (2 values) and per pair
+        // row (4 pairs).
+        let mut stray_value = a.clone();
+        stray_value.value_sets[1] |= 1 << 2; // value 2 does not exist
+        assert!(!stray_value.shape_matches(2, 2, 2));
+
+        let mut stray_pair = a.clone();
+        stray_pair.pair_sets[3] |= 1 << 63; // far above pair capacity 4
+        assert!(!stray_pair.shape_matches(2, 2, 2));
+
+        let mut wide_rows = a.clone(); // rows laid out for a 70-value type
+        wide_rows.value_sets = a.value_sets.iter().flat_map(|&w| [w, 0]).collect();
+        assert!(!wide_rows.shape_matches(2, 2, 2));
+
+        let mut missing_value_row = a.clone();
+        missing_value_row.value_sets.pop();
+        assert!(!missing_value_row.shape_matches(2, 2, 2));
+
+        let mut missing_pair_row = a.clone();
+        missing_pair_row.pair_sets.pop();
+        assert!(!missing_pair_row.shape_matches(2, 2, 2));
+    }
+
+    /// `serde_json::to_string(&Analysis::new(&TestAndSet::new(), 0, [0, 1, 0]))`
+    /// as cache format version 2 writes it: every per-first set is a
+    /// `{"words", "capacity"}` row, value rows by first `f`, pair rows by
+    /// `f * n + j`.
+    const TAS_WIRE: &str = concat!(
+        r#"{"n":3,"num_values":2,"num_responses":2,"#,
+        r#""firsts":[0,0,0,1,2,0,0,3,0,4,0,5,0,6,0,7],"#,
+        r#""value_sets":[{"words":[2],"capacity":2},{"words":[3],"capacity":2},"#,
+        r#"{"words":[2],"capacity":2}],"#,
+        r#""pair_sets":[{"words":[2],"capacity":4},{"words":[8],"capacity":4},"#,
+        r#"{"words":[8],"capacity":4},{"words":[10],"capacity":4},"#,
+        r#"{"words":[3],"capacity":4},{"words":[10],"capacity":4},"#,
+        r#"{"words":[8],"capacity":4},{"words":[8],"capacity":4},"#,
+        r#"{"words":[2],"capacity":4}]}"#,
+    );
+
+    fn tas_mixed() -> Analysis {
+        let ops = [OpId::new(0), OpId::new(1), OpId::new(0)];
+        Analysis::new(&TestAndSet::new(), ValueId::new(0), &ops)
+    }
+
+    #[test]
+    fn wire_format_is_pinned() {
+        let a = tas_mixed();
+        assert_eq!(serde_json::to_string(&a).unwrap(), TAS_WIRE);
+        let back: Analysis = serde_json::from_str(TAS_WIRE).unwrap();
+        assert_eq!(back, a);
+        assert!(back.shape_matches(3, 2, 2));
+
+        // Multi-word rows (70 values, 140 pairs) round-trip too.
+        let reg = Register::new(70);
+        let ops = [OpId::new(3), OpId::new(69), OpId::new(70)];
+        let a = Analysis::new(&reg, ValueId::new(5), &ops);
+        let text = serde_json::to_string(&a).unwrap();
+        assert_eq!(text.matches(r#""capacity":70}"#).count(), 3);
+        let back: Analysis = serde_json::from_str(&text).unwrap();
+        assert_eq!(back, a);
+    }
+
+    #[test]
+    fn damaged_wire_rows_load_but_fail_shape_matches() {
+        // Each damage keeps the wire shape, so the entry deserializes (a
+        // cache file is not lost over one entry) and is then rejected by
+        // `shape_matches` alone.
+        let damages = [
+            (
+                "stray value bit",
+                TAS_WIRE.replacen(r#"[2],"capacity":2"#, r#"[6],"capacity":2"#, 1),
+            ),
+            (
+                "stray pair bit",
+                TAS_WIRE.replacen(r#"[2],"capacity":4"#, r#"[18],"capacity":4"#, 1),
+            ),
+            (
+                "wrong value capacity",
+                TAS_WIRE.replacen(r#""capacity":2}"#, r#""capacity":3}"#, 1),
+            ),
+            (
+                "wrong pair capacity",
+                TAS_WIRE.replacen(r#""capacity":4}"#, r#""capacity":5}"#, 1),
+            ),
+            (
+                "extra word",
+                TAS_WIRE.replacen(r#"[3],"capacity":2"#, r#"[3,0],"capacity":2"#, 1),
+            ),
+            (
+                "missing value row",
+                TAS_WIRE.replacen(r#"{"words":[3],"capacity":2},"#, "", 1),
+            ),
+            (
+                "missing pair row",
+                TAS_WIRE.replacen(r#"{"words":[10],"capacity":4},"#, "", 1),
+            ),
+        ];
+        for (what, text) in damages {
+            assert_ne!(text, TAS_WIRE, "{what}: damage did not apply");
+            let a: Analysis = serde_json::from_str(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(!a.shape_matches(3, 2, 2), "{what} passed shape_matches");
+        }
     }
 
     #[test]

@@ -303,6 +303,136 @@ fn shape_mismatched_entries_are_skipped_individually() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One serialized per-first set, as cache files spell it.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Row {
+    words: Vec<u64>,
+    capacity: usize,
+}
+
+/// Rewrites the first row of the `field` array (`value_sets` or
+/// `pair_sets`) in `text`, which lies in the file's first entry, with
+/// `edit`; `None` deletes the row.
+fn edit_first_row(text: &str, field: &str, edit: &dyn Fn(Row) -> Option<Row>) -> String {
+    let open = format!("\"{field}\":[");
+    let start = text.find(&open).expect("field present") + open.len();
+    let end = start + text[start..].find('}').expect("row closes") + 1;
+    let row: Row = serde_json::from_str(&text[start..end]).expect("row parses");
+    let (replacement, end) = match edit(row) {
+        Some(row) => (serde_json::to_string(&row).expect("row serializes"), end),
+        // A deleted row takes its separating comma with it.
+        None => (
+            String::new(),
+            end + usize::from(text[end..].starts_with(',')),
+        ),
+    };
+    format!("{}{replacement}{}", &text[..start], &text[end..])
+}
+
+type RowDamage = Box<dyn Fn(Row) -> Option<Row>>;
+
+#[test]
+fn row_damaged_entries_are_skipped_individually() {
+    // One damaged row in the first entry of each file: a bit at the row's
+    // capacity, a capacity that disagrees with the type, or a missing row.
+    // The file still parses, so only that entry is skipped and recomputed;
+    // every other entry is still served from disk.
+    let stray_bit = |mut row: Row| {
+        assert_ne!(row.capacity % 64, 0, "needs a partial last word");
+        *row.words.last_mut().expect("nonempty row") |= 1 << (row.capacity % 64);
+        Some(row)
+    };
+    let damages: Vec<(&str, &str, RowDamage)> = vec![
+        ("value-stray-bit", "value_sets", Box::new(stray_bit)),
+        ("pair-stray-bit", "pair_sets", Box::new(stray_bit)),
+        (
+            "value-capacity",
+            "value_sets",
+            Box::new(|row: Row| {
+                Some(Row {
+                    capacity: row.capacity + 1,
+                    ..row
+                })
+            }),
+        ),
+        (
+            "pair-capacity",
+            "pair_sets",
+            Box::new(|row: Row| {
+                Some(Row {
+                    capacity: row.capacity - 1,
+                    ..row
+                })
+            }),
+        ),
+        ("value-row-missing", "value_sets", Box::new(|_| None)),
+        ("pair-row-missing", "pair_sets", Box::new(|_| None)),
+    ];
+    let ty = TeamCounter::new(4);
+    for (tag, field, damage) in damages {
+        let dir = scratch(&format!("row-{tag}"));
+        let cold = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+        let reference = cold.classify(&ty, CAP).expect("cap in range");
+        let touched = damage_all(&dir, |t| edit_first_row(t, field, &*damage));
+        assert!(touched > 0, "{tag}: no cache files written");
+
+        let warm = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+        let again = warm.classify(&ty, CAP).expect("cap in range");
+        assert_same_classification(&reference, &again, tag);
+        // The warm run retraces the cold one, so any undamaged entry it
+        // failed to load would be recomputed too.
+        let stats = warm.stats();
+        assert_eq!(
+            stats.analyses_computed, touched as u64,
+            "{tag}: exactly the damaged entries recompute, got {stats}"
+        );
+        assert!(stats.disk_hits > 0, "{tag}: no disk hits, got {stats}");
+        // The recompute repairs the files: a third run computes nothing.
+        let repaired = SearchEngine::sequential().with_disk_cache(DiskCache::new(&dir));
+        repaired.classify(&ty, CAP).expect("cap in range");
+        assert_eq!(repaired.stats().analyses_computed, 0, "{tag}: not repaired");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Every file in `dir`, by name, with its bytes.
+fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut out: Vec<_> = std::fs::read_dir(dir)
+        .expect("cache dir exists")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let name = path
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into();
+            (name, std::fs::read(&path).expect("cache file"))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn cold_runs_write_byte_identical_files() {
+    // The same search persists the same analyses; the files must not
+    // depend on the memo's hash order, which differs between stores.
+    let ty = TeamCounter::new(4);
+    let (a, b) = (scratch("bytes-a"), scratch("bytes-b"));
+    for dir in [&a, &b] {
+        let engine = SearchEngine::sequential().with_disk_cache(DiskCache::new(dir));
+        engine.classify(&ty, CAP + 1).expect("cap in range");
+    }
+    let (fa, fb) = (files(&a), files(&b));
+    assert_eq!(fa.len(), 4, "one file per level 2..=5");
+    for ((name_a, bytes_a), (name_b, bytes_b)) in fa.iter().zip(&fb) {
+        assert_eq!(name_a, name_b);
+        assert!(bytes_a == bytes_b, "{name_a} differs between cold runs");
+    }
+    std::fs::remove_dir_all(&a).ok();
+    std::fs::remove_dir_all(&b).ok();
+}
+
 #[test]
 fn cache_from_a_different_type_is_ignored() {
     // Cache keys are content hashes of the transition table: warming the
