@@ -8,9 +8,10 @@
 //! return it — which over-approximates the set of states any real
 //! execution can reach without enumerating global configurations.
 
-use rcn_model::{Action, LocalState, ObjectId, Program, System};
+use rcn_faults::WordBuildHasher;
+use rcn_model::{Action, Configuration, Event, LocalState, ObjectId, ProcessId, Program, System};
 use rcn_spec::{ObjectType, OpId, Response, ValueId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -163,11 +164,7 @@ fn feasible_responses(ty: &dyn ObjectType, op: OpId) -> Result<Vec<Response>, St
 }
 
 /// Explores the local-state machine of process `pid` of `sys`.
-pub fn explore_process(
-    sys: &System,
-    pid: rcn_model::ProcessId,
-    cfg: &ExploreConfig,
-) -> ProcessGraph {
+pub fn explore_process(sys: &System, pid: ProcessId, cfg: &ExploreConfig) -> ProcessGraph {
     let program: &dyn Program = sys.program();
     let input = sys.inputs()[pid.index()];
     let initial = program.initial_state(pid, input);
@@ -268,7 +265,7 @@ pub fn explore_process(
 #[derive(Debug, Clone)]
 pub struct Divergence {
     /// The diverging process.
-    pub pid: rcn_model::ProcessId,
+    pub pid: ProcessId,
     /// The process's input.
     pub input: u32,
     /// The first value output along the schedule.
@@ -295,11 +292,10 @@ pub fn crash_divergence(sys: &System, cfg: &ExploreConfig) -> Option<Divergence>
         sys,
         cfg,
         events: Vec::new(),
-        visited: std::collections::HashSet::new(),
+        visited: HashSet::default(),
+        spare: Vec::new(),
     };
-    let config = sys.initial_config();
-    let firsts = config.decided.clone();
-    let (pid, first, second) = search.dfs(config, firsts, 0, 0)?;
+    let (pid, first, second) = search.dfs(&(sys.initial_config(), 0), 0)?;
     let schedule = search
         .events
         .iter()
@@ -315,6 +311,11 @@ pub fn crash_divergence(sys: &System, cfg: &ExploreConfig) -> Option<Divergence>
     })
 }
 
+/// A search state: a configuration and the crashes spent reaching it. The
+/// configuration's `decided` vector is each process's first output along
+/// the branch, which is what a second output is compared against.
+type CrashState = (Configuration, usize);
+
 /// Depth-first search over crashy executions with a bounded global crash
 /// budget, looking for a process that outputs two different values along
 /// one schedule.
@@ -323,58 +324,54 @@ struct CrashSearch<'a> {
     cfg: &'a ExploreConfig,
     /// The event path of the current branch; on success it holds the full
     /// divergence schedule.
-    events: Vec<rcn_model::Event>,
-    #[allow(clippy::type_complexity)]
-    visited: std::collections::HashSet<(rcn_model::Configuration, Vec<Option<u32>>, usize)>,
+    events: Vec<Event>,
+    /// Every state explored from; the one stored copy of each.
+    visited: HashSet<CrashState, WordBuildHasher>,
+    /// Child buffers of finished levels, reused by the next level down:
+    /// a child is built in place with `clone_from` and copied only when
+    /// it is stored.
+    spare: Vec<CrashState>,
 }
 
 impl CrashSearch<'_> {
-    fn dfs(
-        &mut self,
-        config: rcn_model::Configuration,
-        firsts: Vec<Option<u32>>,
-        crashes: usize,
-        depth: usize,
-    ) -> Option<(rcn_model::ProcessId, u32, u32)> {
-        use rcn_model::Event;
+    fn dfs(&mut self, state: &CrashState, depth: usize) -> Option<(ProcessId, u32, u32)> {
         if depth >= self.cfg.max_sched_steps || self.visited.len() > self.cfg.max_states {
             return None;
         }
-        if !self
-            .visited
-            .insert((config.clone(), firsts.clone(), crashes))
-        {
+        if self.visited.contains(state) {
             return None;
         }
-        let mut choices = Vec::with_capacity(2 * self.sys.n());
-        for pid in self.sys.processes() {
+        self.visited.insert(state.clone());
+        let (config, crashes) = state;
+        let mut child = self.spare.pop().unwrap_or_else(|| state.clone());
+        let mut found = None;
+        'events: for i in 0..self.sys.n() {
+            let pid = ProcessId(i as u16);
             // Steps of decided processes are no-ops; only crashes matter
             // for them.
-            if !matches!(self.sys.action_of(&config, pid), Action::Output(_)) {
-                choices.push(Event::Step(pid));
-            }
-            if crashes < self.cfg.max_crashes {
-                choices.push(Event::Crash(pid));
-            }
-        }
-        for event in choices {
-            let mut next = config.clone();
-            let effect = self.sys.apply(&mut next, event);
-            self.events.push(event);
-            let mut new_firsts = firsts.clone();
-            for &(pid, v) in &effect.outputs {
-                match firsts[pid.index()] {
-                    Some(w) if w != v => return Some((pid, w, v)),
-                    _ => new_firsts[pid.index()] = Some(v),
+            let step = (!matches!(self.sys.action_of(config, pid), Action::Output(_)))
+                .then_some(Event::Step(pid));
+            let crash = (*crashes < self.cfg.max_crashes).then_some(Event::Crash(pid));
+            for event in step.into_iter().chain(crash) {
+                child.0.clone_from(config);
+                child.1 = crashes + usize::from(matches!(event, Event::Crash(_)));
+                let effect = self.sys.apply(&mut child.0, event);
+                self.events.push(event);
+                for &(p, v) in &effect.outputs {
+                    if let Some(w) = config.decided[p.index()].filter(|&w| w != v) {
+                        found = Some((p, w, v));
+                        break 'events;
+                    }
                 }
+                found = self.dfs(&child, depth + 1);
+                if found.is_some() {
+                    break 'events;
+                }
+                self.events.pop();
             }
-            let next_crashes = crashes + usize::from(matches!(event, Event::Crash(_)));
-            if let Some(hit) = self.dfs(next, new_firsts, next_crashes, depth + 1) {
-                return Some(hit);
-            }
-            self.events.pop();
         }
-        None
+        self.spare.push(child);
+        found
     }
 }
 

@@ -340,13 +340,20 @@ impl<'s> CrashExplorer<'s> {
     /// violating schedule — the same at every thread count and on every
     /// run, warm or cold.
     pub fn explore(&self) -> CrashtestReport {
+        // Only a recording tracer keeps span details; skip the formatting
+        // otherwise.
+        let detail = if self.tracer.recording() {
+            format!(
+                "crashes={} states={} threads={}",
+                self.config.max_crashes, self.config.max_states, self.threads
+            )
+        } else {
+            String::new()
+        };
         let span = self.tracer.span_with(
             "crashtest.explore",
             i64::try_from(self.config.max_depth).unwrap_or(i64::MAX),
-            &format!(
-                "crashes={} states={} threads={}",
-                self.config.max_crashes, self.config.max_states, self.threads
-            ),
+            &detail,
         );
         let initial = self.system.initial_config();
         // A protocol can violate before any event (conflicting or invalid
@@ -429,7 +436,8 @@ impl<'s> CrashExplorer<'s> {
         match outcome {
             TaskOutcome::Violation(v) => (search.stats, Some((search.path, v)), Vec::new()),
             TaskOutcome::CleanComplete => {
-                let certified = if search.stats.exhaustive() {
+                // Facts feed only the persistent memo.
+                let certified = if self.memo.is_some() && search.stats.exhaustive() {
                     search
                         .visited
                         .into_iter()
@@ -488,6 +496,7 @@ impl<'s> CrashExplorer<'s> {
             config: initial.clone(),
             counts: crash_counts.to_vec(),
             path: Vec::new(),
+            prefix: Vec::new(),
         }];
         let mut depth = 0usize;
         let mut violations: Vec<(Vec<Event>, Violation)> = Vec::new();
@@ -527,6 +536,15 @@ impl<'s> CrashExplorer<'s> {
                     charge_crash(&mut next_counts, event);
                     let remaining = self.config.max_depth - (depth + 1);
                     let key = (next_config, next_counts);
+                    // A state already on its own path is an in-progress
+                    // ancestor: the sequential search's memo cuts that
+                    // cycle, and so must the expansion.
+                    if (key.0 == node.config && key.1 == node.counts) || node.prefix.contains(&key)
+                    {
+                        stats.memo_hits += 1;
+                        memo_hits.incr();
+                        continue;
+                    }
                     if let Some(entry) = shared.certified.read().unwrap().get(&key) {
                         if entry.covers(remaining) {
                             stats.memo_hits += 1;
@@ -547,10 +565,13 @@ impl<'s> CrashExplorer<'s> {
                     }
                     stats.states_visited += 1;
                     depths.observe(depth as u64 + 1);
+                    let mut prefix = node.prefix.clone();
+                    prefix.push((node.config.clone(), node.counts.clone()));
                     next_level.push(ExpNode {
                         config: key.0,
                         counts: key.1,
                         path,
+                        prefix,
                     });
                 }
             }
@@ -649,7 +670,7 @@ impl<'s> CrashExplorer<'s> {
 
         let found = found.into_inner().unwrap();
         let best = found.into_iter().min_by(|a, b| lex_cmp(n, &a.0, &b.0));
-        let certified = if best.is_none() && stats.exhaustive() {
+        let certified = if self.memo.is_some() && best.is_none() && stats.exhaustive() {
             shared
                 .certified
                 .into_inner()
@@ -681,13 +702,27 @@ impl<'s> CrashExplorer<'s> {
             index,
         );
         search.path = task.path.clone();
-        // The root was already counted as a visited state during
-        // expansion; seed the local memo without re-counting it.
+        // The states on the root's path are in-progress ancestors of every
+        // state of this task, as they are on the sequential search's stack:
+        // seeded as open entries with their own remaining budget, they cut
+        // the same cycles. They were counted during expansion, like the
+        // root, which is seeded without re-counting it too.
+        for (i, key) in task.prefix.iter().enumerate() {
+            search
+                .visited
+                .entry(key.clone())
+                .or_insert(MemoEntry::open(self.config.max_depth - i, false));
+        }
         search.visited.insert(
             (task.config.clone(), task.counts.clone()),
             MemoEntry::open(self.config.max_depth - task.path.len(), false),
         );
         let outcome = search.run(task.config.clone(), task.counts.clone(), task.path.len());
+        // This task explored none of its ancestors: their entries are not
+        // its facts to certify.
+        for key in &task.prefix {
+            search.visited.remove(key);
+        }
         (outcome, search.stats, search.path, search.visited)
     }
 
@@ -741,7 +776,7 @@ impl<'s> CrashExplorer<'s> {
 
 /// `(stats, lex-least violation with its path, certified clean facts)` —
 /// the internal result of either execution mode. Facts are non-empty only
-/// for certified-clean runs (they feed the persistent memo).
+/// for certified-clean runs with a persistent memo attached (they feed it).
 type SearchResult = (
     ExplorerStats,
     Option<(Vec<Event>, Violation)>,
@@ -753,6 +788,9 @@ struct ExpNode {
     config: Configuration,
     counts: Vec<usize>,
     path: Vec<Event>,
+    /// The states along `path` before this node: `prefix[i]` is the state
+    /// after the first `i` events.
+    prefix: Vec<MemoKey>,
 }
 
 /// State shared across worker tasks.

@@ -57,6 +57,7 @@ pub use replay::{replay, replay_traced, ReplayReport};
 pub use shrink::{
     shrink_counterexample, shrink_counterexample_traced, shrink_schedule, shrink_schedule_traced,
 };
+pub use wordhash::{WordBuildHasher, WordHasher};
 
 use rcn_model::System;
 use rcn_obs::Tracer;

@@ -7,7 +7,9 @@
 //! multiply instead. It is not collision-resistant against an adversary,
 //! which a memo keyed on states of the search's own making does not need;
 //! `HashMap` confirms every hit by full equality, so hash quality affects
-//! speed only, never a verdict.
+//! speed only, never a verdict. It is public for the other searches over
+//! the same states that have no word hasher of their own (the RCN104 lint's
+//! crash-divergence search in `rcn-analyze`).
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -15,11 +17,11 @@ use std::hash::{BuildHasherDefault, Hasher};
 const K: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// `BuildHasher` for the explorer's memo maps.
-pub(crate) type WordBuildHasher = BuildHasherDefault<WordHasher>;
+pub type WordBuildHasher = BuildHasherDefault<WordHasher>;
 
 /// The hasher behind [`WordBuildHasher`].
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct WordHasher {
+pub struct WordHasher {
     hash: u64,
 }
 

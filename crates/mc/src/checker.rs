@@ -229,13 +229,20 @@ impl<'s> ModelChecker<'s> {
 
     /// Runs the breadth-first search.
     pub fn check(&self) -> McReport {
+        // Only a recording tracer keeps span details; skip the formatting
+        // otherwise.
+        let detail = if self.tracer.recording() {
+            format!(
+                "crashes={} states={} model={}",
+                self.config.max_crashes, self.config.max_states, self.config.fault_model
+            )
+        } else {
+            String::new()
+        };
         let span = self.tracer.span_with(
             "mc.check",
             i64::try_from(self.config.max_depth).unwrap_or(i64::MAX),
-            &format!(
-                "crashes={} states={} model={}",
-                self.config.max_crashes, self.config.max_states, self.config.fault_model
-            ),
+            &detail,
         );
         let events_counter = self.tracer.counter("mc.events_applied");
         let dedup_counter = self.tracer.counter("mc.dedup_hits");

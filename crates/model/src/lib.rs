@@ -7,7 +7,10 @@
 //!   parsed and printed in the paper's notation;
 //! * [`Program`] / [`System`] / [`Configuration`] — deterministic process
 //!   programs over a [`HeapLayout`] of shared objects; crashes reset local
-//!   state while shared objects persist (the non-volatile memory model);
+//!   state while shared objects persist (the non-volatile memory model).
+//!   A process's [`LocalState`] keeps up to four words inline, so the
+//!   crash searches copy states of every shipped protocol without
+//!   allocating;
 //! * [`CrashBudget`] — the execution sets `E_z(C)` / `E_z*(C)` of §3, where
 //!   the crashes of `p_i` are funded by the steps of lower-id processes;
 //! * [`s_p`] — enumeration of the schedule sets `S(P′)` of §2, which the

@@ -27,9 +27,9 @@ pub struct Configuration {
 }
 
 /// Written out so that [`clone_from`](Clone::clone_from) reuses every
-/// buffer, the per-process word vectors included (`Vec::clone_from` clones
-/// element-wise into the existing prefix): the derived impl would allocate
-/// five or more vectors per configuration.
+/// buffer (`Vec::clone_from` clones element-wise into the existing prefix,
+/// and a [`LocalState`] copies its inline words): the derived impl would
+/// allocate three vectors per configuration.
 impl Clone for Configuration {
     fn clone(&self) -> Self {
         Configuration {
@@ -227,6 +227,7 @@ impl System {
     }
 
     /// The number of processes.
+    #[inline]
     pub fn n(&self) -> usize {
         self.inputs.len()
     }
@@ -319,6 +320,7 @@ impl System {
     }
 
     /// The pending action of `pid` in `config`.
+    #[inline]
     pub fn action_of(&self, config: &Configuration, pid: ProcessId) -> Action {
         self.program.action(pid, &config.states[pid.index()])
     }

@@ -52,6 +52,14 @@ struct PlanNode {
     cand: [ObjectId; 2],
 }
 
+/// A process's part in one contest: the node, its team, and its op.
+#[derive(Debug, Clone, Copy)]
+struct Role {
+    node: usize,
+    team: u8,
+    op: OpId,
+}
+
 /// Errors from [`TournamentConsensus::try_new`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanError {
@@ -106,8 +114,10 @@ impl std::error::Error for PlanError {}
 #[derive(Debug)]
 pub struct TournamentConsensus {
     nodes: Vec<PlanNode>,
-    /// Per process: the node ids it participates in, leaf-most first.
-    paths: Vec<Vec<usize>>,
+    /// Per process: its role in each node it participates in, leaf-most
+    /// first, so `action` finds the role for path position `k` (state
+    /// word 1) by indexing.
+    paths: Vec<Vec<Role>>,
     /// The type's read op and its response → value decoding.
     read_op: OpId,
     resp_to_value: Vec<Option<ValueId>>,
@@ -166,8 +176,8 @@ impl TournamentConsensus {
         // increasing node id order is leaf-most first).
         let mut paths = vec![Vec::new(); n];
         for (id, node) in nodes.iter().enumerate() {
-            for &(p, _, _) in &node.members {
-                paths[p].push(id);
+            for &(p, team, op) in &node.members {
+                paths[p].push(Role { node: id, team, op });
             }
         }
 
@@ -178,14 +188,6 @@ impl TournamentConsensus {
             resp_to_value,
         };
         Ok(System::new(Arc::new(program), Arc::new(layout), inputs))
-    }
-
-    fn node_role(&self, node: &PlanNode, pid: usize) -> (u8, OpId) {
-        node.members
-            .iter()
-            .find(|&&(p, _, _)| p == pid)
-            .map(|&(_, team, op)| (team, op))
-            .expect("process participates in its path nodes")
     }
 }
 
@@ -310,11 +312,10 @@ impl Program for TournamentConsensus {
     fn action(&self, pid: ProcessId, state: &LocalState) -> Action {
         let path = &self.paths[pid.index()];
         let k = state.word(1) as usize;
-        if k >= path.len() {
+        let Some(&Role { node, team, op }) = path.get(k) else {
             return Action::Output(state.word(0));
-        }
-        let node = &self.nodes[path[k]];
-        let (team, op) = self.node_role(node, pid.index());
+        };
+        let node = &self.nodes[node];
         match state.word(2) {
             STAGE_WRITE_CAND => Action::Invoke {
                 object: node.cand[team as usize],
@@ -341,7 +342,7 @@ impl Program for TournamentConsensus {
         let path = &self.paths[pid.index()];
         let candidate = state.word(0);
         let k = state.word(1);
-        let node = &self.nodes[path[k as usize]];
+        let node = &self.nodes[path[k as usize].node];
         match state.word(2) {
             STAGE_WRITE_CAND => LocalState::from_words([candidate, k, STAGE_READ_FIRST, 0]),
             STAGE_READ_FIRST => {

@@ -32,6 +32,7 @@ mod chain;
 mod checker;
 mod graph;
 mod valency;
+mod wordhash;
 
 pub use chain::{theorem13_chain, ChainError, ChainLink, ChainReport};
 pub use checker::{check_consensus, check_graph, CheckReport, Counterexample, Verdict};

@@ -21,10 +21,10 @@
 //! values — computed with the same `U_x` reachability used by the deciders.
 
 use crate::graph::ExploreError;
+use crate::wordhash::{Lookup, StateIds};
 use rcn_decide::Analysis;
 use rcn_model::{Action, Configuration, Event, ObjectId, ProcessId, Schedule, System};
 use rcn_spec::{OpId, ValueId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A configuration plus clamped crash allowances (the `E_z*` budget state).
@@ -139,17 +139,19 @@ impl BudgetedGraph {
         max_states: usize,
     ) -> Result<BudgetedGraph, ExploreError> {
         let n = system.n();
-        let (start, _) = {
-            let mut config = system.initial_config();
-            system.run(&mut config, prefix);
-            (config, ())
-        };
+        let funded = (z * n) as u16;
+        let mut start = system.initial_config();
+        system.run(&mut start, prefix);
         let init = BudgetedState {
             config: start,
             allowance: vec![0; n],
         };
-        let mut states = vec![init.clone()];
-        let mut index: HashMap<BudgetedState, usize> = HashMap::from([(init, 0)]);
+        // Every child is built in `next` by `clone_from` and copied out only
+        // when it is new; `states` holds the one stored copy of each state.
+        let mut next = init.clone();
+        let mut states = vec![init];
+        let mut ids = StateIds::default();
+        ids.insert_root(&states[0]);
         let mut edges: Vec<Vec<(Event, usize)>> = vec![Vec::new()];
         let mut parent: Vec<Option<(usize, Event)>> = vec![None];
 
@@ -157,23 +159,20 @@ impl BudgetedGraph {
         while frontier < states.len() {
             let id = frontier;
             frontier += 1;
-            let state = states[id].clone();
             let mut out = Vec::new();
             for i in 0..n {
                 let p = ProcessId(i as u16);
-                let mut candidates = vec![Event::Step(p)];
-                if i > 0 && state.allowance[i] > 0 {
-                    candidates.push(Event::Crash(p));
-                }
-                for event in candidates {
-                    let mut next = state.clone();
+                let crash = (i > 0 && states[id].allowance[i] > 0).then_some(Event::Crash(p));
+                for event in std::iter::once(Event::Step(p)).chain(crash) {
+                    next.config.clone_from(&states[id].config);
+                    next.allowance.clone_from(&states[id].allowance);
                     system.apply(&mut next.config, event);
                     match event {
                         Event::Step(_) => {
                             // A step of p_i funds z·n crashes of every
                             // higher-id process.
                             for a in next.allowance.iter_mut().skip(i + 1) {
-                                *a = (*a).saturating_add((z * n) as u16).min(clamp);
+                                *a = (*a).saturating_add(funded).min(clamp);
                             }
                         }
                         Event::Crash(_) => {
@@ -185,15 +184,15 @@ impl BudgetedGraph {
                             unreachable!("E_z graphs enumerate only steps and per-process crashes")
                         }
                     }
-                    let target = match index.get(&next) {
-                        Some(&t) => t,
-                        None => {
+                    let target = match ids.find(&states, &next) {
+                        Lookup::Found(t) => t,
+                        Lookup::Absent(digest) => {
                             if states.len() >= max_states {
                                 return Err(ExploreError::TooLarge { limit: max_states });
                             }
                             let t = states.len();
+                            ids.insert(digest, t);
                             states.push(next.clone());
-                            index.insert(next, t);
                             edges.push(Vec::new());
                             parent.push(Some((id, event)));
                             t

@@ -431,3 +431,77 @@ proptest! {
         prop_assert_eq!(seq.is_certified_clean(), warm.is_certified_clean());
     }
 }
+
+/// Regression: a sharded task starts at a deep root, and the states on
+/// that root's path are in-progress ancestors of everything the task
+/// explores, exactly as they are on the sequential search's stack. Without
+/// them in the task's memo, a task followed the cycle `p1 p1` back through
+/// an ancestor and reported the longer, lex-smaller `p0 p1 p1 c0 p0 p0`
+/// instead of the sequential `p0 p1 c0 p0 p0`.
+#[test]
+fn sharded_tasks_cut_cycles_through_their_root_prefix() {
+    let sys = build_system(
+        4,
+        vec![2, 0, 1, 2],
+        vec![
+            vec![4, 3, 5],
+            vec![4, 5, 0],
+            vec![4, 5, 2],
+            vec![5, 5, 4],
+            vec![1, 5, 4],
+            vec![2, 5, 2],
+        ],
+        [0, 2],
+    );
+    assert_sharded_counterexample(&sys, 1, 10, FaultModel::PER_PROCESS, "p0 p1 c0 p0 p0");
+}
+
+/// Regression: the breadth-first expansion that produces the task roots
+/// must cut cycles too. `p0 p0` leaves this program's configuration
+/// unchanged, so the sequential search never extends it, while an
+/// uncut expansion reported `p0 p0 p1 p0 p0`.
+#[test]
+fn sharded_expansion_cuts_cycles_on_its_own_path() {
+    let sys = build_system(
+        3,
+        vec![1, 1, 2],
+        vec![
+            vec![3, 3, 3],
+            vec![4, 1, 4],
+            vec![2, 0, 0],
+            vec![3, 3, 4],
+            vec![4, 3, 4],
+        ],
+        [2, 1],
+    );
+    assert_sharded_counterexample(&sys, 2, 10, FaultModel::MID_OP, "p1 p0 p0");
+}
+
+fn assert_sharded_counterexample(
+    sys: &System,
+    max_crashes: usize,
+    max_depth: usize,
+    fault_model: FaultModel,
+    expected: &str,
+) {
+    let config = CrashtestConfig {
+        max_crashes,
+        max_depth,
+        max_states: 500_000,
+        fault_model,
+    };
+    let schedule = |report: &CrashtestReport| {
+        report
+            .counterexample
+            .as_ref()
+            .map(|c| c.schedule.to_string())
+    };
+    let seq = CrashExplorer::new(sys, config).explore();
+    assert_eq!(schedule(&seq).as_deref(), Some(expected), "sequential");
+    for threads in [2, 4] {
+        let par = CrashExplorer::new(sys, config)
+            .with_threads(threads)
+            .explore();
+        assert_same(&seq, &par, &format!("threads={threads}"));
+    }
+}
